@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -43,8 +42,6 @@ from .splitting import (
     random_splitting,
     stabilize,
 )
-
-THREADS_ENV_VAR = "HEEGAARD_THREADS"
 
 _GRID_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -201,36 +198,6 @@ def _load_manifold(path: str, base: dict):
     return mf, mf.gluing()
 
 
-def _resolve_threads(ns) -> int | None:
-    if getattr(ns, "threads", None) is not None:
-        if ns.threads < 1:
-            raise _UsageError("--threads must be at least 1")
-        return ns.threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            val = int(env)
-        except ValueError as exc:
-            raise _Abort(
-                1,
-                stderr_obj={
-                    "error": {
-                        "type": "config",
-                        "message": f"{THREADS_ENV_VAR} must be an integer, got {env!r}",
-                    }
-                },
-            ) from exc
-        if val < 1:
-            raise _Abort(
-                1,
-                stderr_obj={
-                    "error": {"type": "config", "message": f"{THREADS_ENV_VAR} must be at least 1"}
-                },
-            )
-        return val
-    return None
-
-
 def _finish(report: dict, ns, t0: float) -> None:
     if getattr(ns, "timing", False):
         report["timing"] = {"seconds": _sig12(time.perf_counter() - t0)}
@@ -308,9 +275,8 @@ def _cmd_partition(ns, argv) -> int:
     t0 = time.perf_counter()
     base = {"command": argv}
     mf, G = _load_manifold(ns.file, base)
-    threads = _resolve_threads(ns)
     fn = z_cs if ns.theory == "cs" else z_bf
-    S = fn(G, ns.level, threads=threads)
+    S = fn(G, ns.level)
     results = {
         "theory": ns.theory,
         "level": ns.level,
@@ -423,14 +389,13 @@ def _cmd_oracle(ns, argv) -> int:
     base = {"command": argv}
     mf, G = _load_manifold(ns.file, base)
     k = ns.level
-    threads = _resolve_threads(ns)
     prof = homology_profile(G)
     checks = []
 
-    cs_num = eval_numeric(z_cs(G, k, threads=threads))
+    cs_num = eval_numeric(z_cs(G, k))
 
     closed = z_bf_closed_form(G, k)
-    bf_num = eval_numeric(z_bf(G, k, threads=threads))
+    bf_num = eval_numeric(z_bf(G, k))
     dev = abs(bf_num - closed)
     tol = 1e-6 * max(1.0, float(closed))
     checks.append(
@@ -536,7 +501,6 @@ def build_parser() -> _Parser:
     p.add_argument("--theory", choices=("cs", "bf"), required=True)
     p.add_argument("--level", type=int, required=True, metavar="K")
     p.add_argument("--numeric", action="store_true", help="also evaluate to a complex number")
-    p.add_argument("--threads", type=int, default=None, metavar="N")
     with_timing(p)
     p.set_defaults(func=_cmd_partition)
 
@@ -567,7 +531,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="run the brute-force oracles and report deviations")
     p.add_argument("file")
     p.add_argument("--level", type=int, required=True, metavar="K")
-    p.add_argument("--threads", type=int, default=None, metavar="N")
     with_timing(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -99,8 +99,8 @@ class TorsionElements(Sequence):
     """The torsion subgroup of coker P as a random-access sequence.
 
     Element number k corresponds to the mixed-radix multi-index over the
-    invariant factors (last index fastest), so concurrent consumers can
-    partition [0, len) without coordination.  The identity sits at k = 0.
+    invariant factors (last index fastest), so any element can be built
+    from its position alone.  The identity sits at k = 0.
     """
 
     def __init__(self, G: GluingData):

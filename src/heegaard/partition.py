@@ -5,21 +5,19 @@ Z_BF,k the double sum over pairs.  Both are returned as PhaseSum values,
 an exact multiset over Q/Z; turning them into complex numbers is a
 separate, lossy step (eval_numeric).
 
-All phase bookkeeping runs in integer arithmetic modulo the common
-denominator L of k times the linking gram, so the sums stay exact no
-matter how they are chunked across workers.
+Z_CS enumerates the torsion classes in integer arithmetic modulo the
+common denominator L of the linking gram.  Z_BF needs no enumeration: by
+nondegeneracy of the linking form its multiset follows from the invariant
+factors alone.
 """
 
 from __future__ import annotations
 
 import cmath
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from math import cos, gcd, pi, sin
-
-import numpy as np
 
 from .exact import PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile, torsion_elements
@@ -123,31 +121,18 @@ def eval_numeric(S: PhaseSum) -> complex:
 
 
 def _check_level(k: int):
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"level k must be a positive integer, got {k!r}")
 
 
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        return 1
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    return threads
-
-
 _zcs_cache: dict = {}
-_zbf_cache: dict = {}
-
-# above this many torsion elements z_bf switches to the vectorized path
-_BF_VECTOR_THRESHOLD = 512
 
 
-def _diag_quad_counts(dims, gram, L, mk, index_block) -> Counter:
-    """Histogram of (mk * Gamma-quadratic-form) mod L over given indices."""
+def _diag_quad_counts(dims, gram, L, mk) -> Counter:
+    """Histogram of (mk * Gamma-quadratic-form) mod L over the torsion group."""
     r = len(dims)
     out = Counter()
-    for a in index_block:
+    for a in product(*(range(d) for d in dims)):
         q = 0
         for i in range(r):
             ai = a[i]
@@ -160,12 +145,11 @@ def _diag_quad_counts(dims, gram, L, mk, index_block) -> Counter:
     return out
 
 
-def z_cs(G: GluingData, k: int, threads=None) -> PhaseSum:
+def z_cs(G: GluingData, k: int) -> PhaseSum:
     """Exact CS partition sum: one term −k·Γ(θ,θ) per torsion class.
 
     The identity class contributes phase 0, so the sphere normalizes to
-    {0: 1}.  Results are memoized per (G, k); the optional thread count
-    only changes how the sum is chunked, never its value.
+    {0: 1}.  Results are memoized per (G, k).
     """
     _check_level(k)
     key = (G, k)
@@ -177,20 +161,7 @@ def z_cs(G: GluingData, k: int, threads=None) -> PhaseSum:
         result = PhaseSum({PhaseQ(0): 1})
     else:
         L, gram = gram_integerized(G)
-        mk = (-k) % L
-        nthreads = _resolve_threads(threads)
-        indices = list(product(*(range(d) for d in dims)))
-        if nthreads == 1 or len(indices) < 4 * nthreads:
-            counts = _diag_quad_counts(dims, gram, L, mk, indices)
-        else:
-            step = -(-len(indices) // nthreads)
-            blocks = [indices[i : i + step] for i in range(0, len(indices), step)]
-            counts = Counter()
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                for part in pool.map(
-                    lambda blk: _diag_quad_counts(dims, gram, L, mk, blk), blocks
-                ):
-                    counts.update(part)
+        counts = _diag_quad_counts(dims, gram, L, (-k) % L)
         result = PhaseSum(
             {PhaseQ._wrap(Fraction(n, L)): c for n, c in counts.items()}
         )
@@ -198,79 +169,46 @@ def z_cs(G: GluingData, k: int, threads=None) -> PhaseSum:
     return result
 
 
-def _bf_counts_python(indices, gk, L) -> Counter:
-    """Exact pairwise histogram in pure Python (big-int safe)."""
-    r = len(gk) if gk else 0
-    rows = [
-        tuple(sum(a[i] * gk[i][j] for i in range(r)) % L for j in range(r))
-        for a in indices
-    ]
-    out = Counter()
-    for w in rows:
-        for b in indices:
-            out[sum(w[j] * b[j] for j in range(r)) % L] += 1
-    return out
+def _divisors(n: int) -> list:
+    """Positive divisors of n in increasing order, by trial division to √n."""
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i * i != n:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
 
 
-def z_bf(G: GluingData, k: int, threads=None) -> PhaseSum:
+def z_bf(G: GluingData, k: int) -> PhaseSum:
     """Exact BF partition sum: one term −k·Γ(θ,ϑ) per ordered torsion pair.
 
-    Up to torsion_order² terms.  Large groups go through a vectorized
-    int64 histogram whose intermediate bound is checked against overflow;
-    anything that cannot be certified safe falls back to exact big-int
-    Python arithmetic.
+    Computed from the invariant factors d_1 | … | d_r alone.  Γ is
+    nondegenerate, so for fixed θ the map ϑ ↦ −k·Γ(θ,ϑ) is a character of
+    order n = ord(kθ) and hits each phase j/n exactly |T|/n times.  The
+    number of θ with ord(kθ) dividing n is Π gcd(nk, d_i); peeling off the
+    counts of proper divisors, in increasing order, leaves the number with
+    ord(kθ) = n.  A reduced phase a/b then has multiplicity
+    Σ_{b | n | d_r} #{ord(kθ) = n}·|T|/n.  Cost O(#divisors(d_r)² + d_r).
     """
     _check_level(k)
-    key = (G, k)
-    hit = _zbf_cache.get(key)
-    if hit is not None:
-        return hit
-    dims = torsion_elements(G).dims
-    if not dims:
-        result = PhaseSum({PhaseQ(0): 1})
-    else:
-        L, gram = gram_integerized(G)
-        mk = (-k) % L
-        r = len(dims)
-        gk = [[(mk * gram[i][j]) % L for j in range(r)] for i in range(r)]
-        indices = list(product(*(range(d) for d in dims)))
-        t = len(indices)
-        d_max = max(dims)
-        # sum_j W[a,j] * b_j is at most r*(L-1)*(d_max-1); keep headroom
-        fits_int64 = r * (L - 1) * (d_max - 1) < 2**62
-        if t <= _BF_VECTOR_THRESHOLD or not fits_int64:
-            counts = _bf_counts_python(indices, gk, L)
-            result = PhaseSum(
-                {PhaseQ._wrap(Fraction(n, L)): c for n, c in counts.items()}
-            )
-        else:
-            A = np.array(indices, dtype=np.int64)
-            GK = np.array(gk, dtype=np.int64)
-            W = (A @ GK) % L
-            AT = np.ascontiguousarray(A.T)
-            rows_per_chunk = max(1, 4_000_000 // t)
-            starts = list(range(0, t, rows_per_chunk))
-
-            def chunk_hist(i0: int) -> np.ndarray:
-                blk = (W[i0 : i0 + rows_per_chunk] @ AT) % L
-                return np.bincount(blk.ravel(), minlength=L)
-
-            nthreads = _resolve_threads(threads)
-            if nthreads == 1:
-                hists = [chunk_hist(i0) for i0 in starts]
-            else:
-                with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                    hists = list(pool.map(chunk_hist, starts))
-            counts_arr = np.sum(np.stack(hists), axis=0)
-            result = PhaseSum(
-                {
-                    PhaseQ._wrap(Fraction(n, L)): int(c)
-                    for n, c in enumerate(counts_arr.tolist())
-                    if c
-                }
-            )
-    _zbf_cache[key] = result
-    return result
+    T = torsion_elements(G)
+    divisors = _divisors(T.dims[-1] if T.dims else 1)
+    by_order = {}  # n -> #{θ : ord(kθ) = n}
+    for n in divisors:
+        by_order[n] = T.kernel_count(n * k) - sum(
+            c for m, c in by_order.items() if n % m == 0
+        )
+    terms = {}
+    for b in divisors:
+        mult = sum(c * (len(T) // n) for n, c in by_order.items() if n % b == 0)
+        if mult:
+            for a in range(b):
+                if gcd(a, b) == 1:
+                    terms[PhaseQ._wrap(Fraction(a, b))] = mult
+    return PhaseSum(terms)
 
 
 def z_bf_closed_form(G: GluingData, k: int) -> int:

@@ -5,6 +5,8 @@ definitions, not against the library code: no imports from the package, no
 shared helpers.  Slow on purpose; only run on small inputs.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -164,3 +166,34 @@ def plain_anti_symplectic(r, p, s, q):
     mt = [[m[j][i] for j in range(2 * g)] for i in range(2 * g)]
     left = matmul(matmul(mt, jm), m)
     return left == [[-x for x in row] for row in jm]
+
+
+@lru_cache(maxsize=None)
+def _bf_pair_counts(dims, gram_num, L):
+    """#{(a, b) : a·gram·b ≡ n (mod L)} over all ordered pairs of multi-indices."""
+    r = len(dims)
+    elements = list(product(*(range(d) for d in dims)))
+    counts = {}
+    for a in elements:
+        row = [sum(a[i] * gram_num[i][j] for i in range(r)) for j in range(r)]
+        for b in elements:
+            n = sum(row[j] * b[j] for j in range(r)) % L
+            counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+def bf_pair_histogram(dims, gram_num, L, k):
+    """Brute-force Z_BF multiset {phase: multiplicity} over all ordered pairs.
+
+    dims are the orders of the torsion generators and gram_num[i][j] / L
+    their linking numbers.  Every pair (θ, ϑ) contributes the phase
+    −k·Γ(θ, ϑ) mod 1, returned as a reduced Fraction in [0, 1).  The
+    k-independent pair count is cached so several levels of one group
+    share the |T|² loop.
+    """
+    counts = _bf_pair_counts(tuple(dims), tuple(map(tuple, gram_num)), L)
+    hist = {}
+    for n, c in counts.items():
+        phase = Fraction((-k * n) % L, L)
+        hist[phase] = hist.get(phase, 0) + c
+    return hist

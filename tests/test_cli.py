@@ -1,10 +1,8 @@
 import json
-import os
 
 import pytest
 
 from heegaard.cli import (
-    THREADS_ENV_VAR,
     ManifoldFile,
     parse_manifold,
     run,
@@ -15,20 +13,8 @@ from heegaard.splitting import ValidationError, lens, random_splitting
 
 @pytest.fixture()
 def capture(capsys):
-    def invoke(*argv, env=None):
-        old = {}
-        if env:
-            for key, val in env.items():
-                old[key] = os.environ.get(key)
-                os.environ[key] = val
-        try:
-            code = run(list(argv))
-        finally:
-            for key, val in old.items():
-                if val is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = val
+    def invoke(*argv):
+        code = run(list(argv))
         out = capsys.readouterr()
         return code, out.out, out.err
 
@@ -111,6 +97,7 @@ def test_usage_errors_exit_64(capture, lens_file):
     assert capture("partition", lens_file(5, 1), "--theory", "xx", "--level", "1")[0] == 64
     # level below 1 is a usage error, not a computation error
     assert capture("partition", lens_file(5, 1), "--theory", "cs", "--level", "0")[0] == 64
+    assert capture("partition", lens_file(5, 1), "--theory", "cs", "--level", "1", "--threads", "4")[0] == 64
 
 
 def test_homology_report(capture, lens_file):
@@ -162,17 +149,6 @@ def test_reports_byte_identical(capture, lens_file):
     # and timing is the one sanctioned exception
     timed = capture("partition", path, "--theory", "cs", "--level", "3", "--timing")
     assert "timing" in json.loads(timed[1])
-
-
-def test_threads_flag_and_env_do_not_change_output(capture, lens_file):
-    path = lens_file(11, 3)
-    base = capture("partition", path, "--theory", "bf", "--level", "2")
-    flagged = capture("partition", path, "--theory", "bf", "--level", "2", "--threads", "4")
-    env = capture("partition", path, "--theory", "bf", "--level", "2", env={THREADS_ENV_VAR: "3"})
-    results = [json.loads(r[1])["results"] for r in (base, flagged, env)]
-    assert results[0] == results[1] == results[2]
-    bad = capture("partition", path, "--theory", "bf", "--level", "2", env={THREADS_ENV_VAR: "zero"})
-    assert bad[0] == 1
 
 
 def test_catalog_lens_and_named_spaces(capture, tmp_path):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import heegaard.partition as partition
 from heegaard.exact import PhaseQ
 from heegaard.homology import homology_profile, torsion_elements
+from heegaard.linking import linking_matrix
 from heegaard.partition import (
     PhaseSum,
     eval_numeric,
@@ -17,16 +18,24 @@ from heegaard.partition import (
     z_cs,
 )
 from heegaard.splitting import lens, random_splitting
+from oracle_helpers import bf_pair_histogram
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 120), st.sampled_from([0, 3, 6, 10])
 )
 
 
-def fresh(G, k, fn, **kw):
+def fresh(G, k, fn):
     partition._zcs_cache.clear()
-    partition._zbf_cache.clear()
-    return fn(G, k, **kw)
+    return fn(G, k)
+
+
+def assert_z_bf_matches_pair_oracle(G, k):
+    gram = linking_matrix(G).gram
+    L = lcm(*(ph.denominator for row in gram for ph in row))
+    gram_num = [[int(ph.value * L) for ph in row] for row in gram]
+    oracle = bf_pair_histogram(torsion_elements(G).dims, gram_num, L, k)
+    assert z_bf(G, k) == PhaseSum(oracle)
 
 
 # --------------------------------------------------------------- PhaseSum
@@ -132,21 +141,12 @@ def test_z_cs_memoized():
     assert z_cs(G, 2) is z_cs(lens(7, 3), 2)
 
 
-def test_z_cs_threads_equal():
-    G = random_splitting(2, 10, 36)
-    a = fresh(G, 4, z_cs)
-    b = fresh(G, 4, z_cs, threads=4)
-    assert a == b
-
-
 def test_level_validation():
-    for bad in (0, -2, Fraction(1, 2)):
+    for bad in (0, -2, Fraction(1, 2), True):
         with pytest.raises(ValueError):
             z_cs(lens(5, 1), bad)
         with pytest.raises(ValueError):
             z_bf(lens(5, 1), bad)
-    with pytest.raises(ValueError):
-        z_cs(lens(5, 1), 2, threads=0)
 
 
 # -------------------------------------------------------------------- z_bf
@@ -175,27 +175,29 @@ def test_z_bf_matches_closed_form(params, k):
     assert abs(eval_numeric(z_bf(G, k)) - closed) <= 1e-6 * max(1, closed)
 
 
-def test_z_bf_vector_path_agrees_with_python(monkeypatch):
-    G = random_splitting(2, 10, 36)  # torsion order 6848
-    k = 3
-    vec = fresh(G, k, z_bf)
-    monkeypatch.setattr(partition, "_BF_VECTOR_THRESHOLD", 10**9)
-    G_small = lens(24, 7)
-    via_python = fresh(G_small, k, z_bf)
-    monkeypatch.setattr(partition, "_BF_VECTOR_THRESHOLD", 0)
-    via_vector = fresh(G_small, k, z_bf)
-    assert via_python == via_vector
-    # big case collapses to the closed form numerically
-    assert abs(eval_numeric(vec) - z_bf_closed_form(G, k)) <= 1e-6 * max(
-        1, z_bf_closed_form(G, k)
-    )
+def test_z_bf_matches_pair_oracle_on_lens_spaces():
+    for p in range(1, 31):
+        for q in range(-p + 1, p):
+            if gcd(p, q) != 1:
+                continue
+            for k in range(1, 6):
+                assert_z_bf_matches_pair_oracle(lens(p, q), k)
 
 
-def test_z_bf_threads_equal():
-    G = random_splitting(2, 10, 36)
-    a = fresh(G, 2, z_bf)
-    b = fresh(G, 2, z_bf, threads=3)
-    assert a == b
+def test_z_bf_matches_pair_oracle_on_corpus(corpus):
+    small = [G for G in corpus if homology_profile(G).torsion_order <= 600]
+    assert small
+    for G in small:
+        for k in (1, 2, 3, 6):
+            assert_z_bf_matches_pair_oracle(G, k)
+
+
+@given(splitting_params, st.integers(1, 6))
+def test_z_bf_matches_pair_oracle_random(params, k):
+    G = random_splitting(*params)
+    if homology_profile(G).torsion_order > 300:
+        return
+    assert_z_bf_matches_pair_oracle(G, k)
 
 
 # ------------------------------------------------------------------ oracles
