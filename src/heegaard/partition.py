@@ -4,7 +4,8 @@ Z_CS,k is the sum of e^{−2πik·Γ(θ,θ)} over the torsion classes of coker P
 Z_BF,k the double sum over pairs.  Both are returned as PhaseSum values,
 an exact multiset over Q/Z stored as integer numerators over one common
 denominator; turning them into complex numbers is a separate, lossy step
-(eval_numeric).
+(eval_numeric), which adds the terms with math.fsum so that equal sums
+give bit-identical floats whatever the order of their bins.
 
 Z_CS enumerates the torsion classes once per manifold, in integer
 arithmetic modulo the common denominator L of the linking gram, into a
@@ -19,7 +20,7 @@ import cmath
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import cos, gcd, lcm, pi, sin
+from math import cos, fsum, gcd, lcm, pi, sin
 
 from .exact import PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile, torsion_elements
@@ -156,22 +157,19 @@ class PhaseSum:
 def eval_numeric(S: PhaseSum) -> complex:
     """Lossy evaluation to a double-precision complex number.
 
-    Terms are added in a fixed order (by reduced denominator, then
-    numerator) so the result is reproducible bit for bit.
+    Each bin n/L contributes mult·cos and mult·sin of 2π·(n/L); the real
+    and imaginary parts are each added with math.fsum, which rounds the
+    exact sum once and so does not depend on the order of the bins.
+    Equal PhaseSums therefore give bit-identical floats.
     """
     L = S._den
-    terms = []
+    re = []
+    im = []
     for n, mult in S._counts.items():
-        g = gcd(n, L)
-        terms.append((L // g, n // g, mult))
-    terms.sort()
-    re = 0.0
-    im = 0.0
-    for den, num, mult in terms:
-        ang = 2.0 * pi * (num / den)
-        re += mult * cos(ang)
-        im += mult * sin(ang)
-    return complex(re, im)
+        ang = 2.0 * pi * (n / L)
+        re.append(mult * cos(ang))
+        im.append(mult * sin(ang))
+    return complex(fsum(re), fsum(im))
 
 
 def _check_level(k: int):

@@ -86,21 +86,35 @@ class GluingData:
 
     Construction runs the full six-relation validation and raises
     ValidationError otherwise, so every live instance is valid.  Instances
-    are immutable and hashable (partition sums memoize on them).
+    are immutable and hashable (partition sums memoize on them); the hash
+    is computed once, at construction.
     """
 
-    __slots__ = ("genus", "R", "P", "S", "Q")
+    __slots__ = ("genus", "R", "P", "S", "Q", "_hash")
 
     def __init__(self, r, p, s, q):
         R, P, S, Q = _coerce_blocks(r, p, s, q)
         bad = block_relation_violations(R, P, S, Q)
         if bad:
             raise ValidationError(bad)
-        object.__setattr__(self, "genus", R.rows)
+        self._set(R, P, S, Q)
+
+    def _set(self, R, P, S, Q):
+        genus = R.rows
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "_hash", hash((genus, R, P, S, Q)))
+
+    @classmethod
+    def _trusted(cls, R, P, S, Q) -> "GluingData":
+        """Trusted constructor: R, P, S, Q are square IntMatrix blocks already
+        known to satisfy the six relations."""
+        self = object.__new__(cls)
+        self._set(R, P, S, Q)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GluingData is immutable")
@@ -131,7 +145,7 @@ class GluingData:
         )
 
     def __hash__(self) -> int:
-        return hash((self.genus, self.R, self.P, self.S, self.Q))
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -241,7 +255,14 @@ def lens(p: int, q: int) -> GluingData:
             if best is None or key < best[0]:
                 best = (key, r, s)
         _, r, s = best
-    return GluingData([[r]], [[p]], [[s]], [[q]])
+    # genus 1: the four symmetry relations hold for any 1×1 blocks, and
+    # both unimodularity relations read p·s − q·r = 1
+    det = p * s - q * r
+    if det != 1:
+        raise ValidationError(
+            [f"P†S − Q†R = {det} ≠ 1", f"SP† − QR† = {det} ≠ 1"]
+        )
+    return GluingData._trusted(*(IntMatrix(1, 1, (x,)) for x in (r, p, s, q)))
 
 
 def connected_sum(g1: GluingData, g2: GluingData) -> GluingData:

@@ -197,3 +197,18 @@ def bf_pair_histogram(dims, gram_num, L, k):
         phase = Fraction((-k * n) % L, L)
         hist[phase] = hist.get(phase, 0) + c
     return hist
+
+
+def radical_order_scan(dims, gram_num, L):
+    """#{a : Σ_i a_i·gram_num[i][j] ≡ 0 (mod L) for every j} over all multi-indices.
+
+    The radical of the form gram_num / L on the group of the given dims,
+    counted by testing each class against every generator, which by
+    bilinearity is the same as testing it against every class.
+    """
+    r = len(dims)
+    return sum(
+        1
+        for a in product(*(range(d) for d in dims))
+        if all(sum(a[i] * gram_num[i][j] for i in range(r)) % L == 0 for j in range(r))
+    )

@@ -1,18 +1,21 @@
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heegaard.exact import PhaseQ
 from heegaard.homology import free_flat_basis, torsion_elements
 from heegaard.linking import (
+    _radical_order,
     gram_integerized,
     is_nondegenerate,
     linking_form,
     linking_matrix,
 )
-from heegaard.splitting import lens, random_splitting
+from heegaard.splitting import connected_sum, lens, random_splitting
+from oracle_helpers import radical_order_scan
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 150), st.sampled_from([0, 3, 6, 10, 15])
@@ -81,6 +84,61 @@ def test_representative_independence(params, data):
 @given(splitting_params)
 def test_nondegenerate_on_valid_splittings(params):
     assert is_nondegenerate(random_splitting(*params))
+
+
+@st.composite
+def divisor_chains_with_grams(draw):
+    """Invariant factors d_1 | … | d_r with Π d_i ≤ 3000, and a symmetric
+    integer gram over L = d_r whose entry (i, j) is a multiple of
+    L / gcd(d_i, d_j), so that d_i·g_ij ≡ 0 (mod L) as for a linking form;
+    degenerate forms are drawn too."""
+    dims = [draw(st.integers(2, 30))]
+    while len(dims) < 4:
+        cap = min(8, 3000 // (prod(dims) * dims[-1]))
+        if cap < 1 or not draw(st.booleans()):
+            break
+        dims.append(dims[-1] * draw(st.integers(1, cap)))
+    L = dims[-1]
+    r = len(dims)
+    g = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            step = L // gcd(dims[i], dims[j])
+            g[i][j] = g[j][i] = step * draw(st.integers(0, L // step - 1))
+    return dims, L, g
+
+
+@settings(max_examples=300)
+@given(divisor_chains_with_grams())
+def test_radical_order_matches_scan(case):
+    dims, L, g = case
+    assert _radical_order(dims, L, g) == radical_order_scan(dims, g, L)
+
+
+def assert_nondegenerate_by_scan(G):
+    dims = torsion_elements(G).dims
+    L, g = gram_integerized(G)
+    assert radical_order_scan(dims, g, L) == 1
+    assert is_nondegenerate(G)
+
+
+def test_nondegenerate_on_lens_spaces_and_corpus(corpus):
+    for p in range(1, 31):
+        for q in range(-p + 1, p):
+            if gcd(p, q) == 1:
+                assert_nondegenerate_by_scan(lens(p, q))
+    small = [G for G in corpus if len(torsion_elements(G)) <= 600]
+    assert small
+    for G in small:
+        assert_nondegenerate_by_scan(G)
+
+
+def test_nondegenerate_enumerates_nothing():
+    # |T| = 10^9: any enumeration of the torsion group would not finish
+    G = connected_sum(connected_sum(lens(1000, 3), lens(1000, 7)), lens(1000, 11))
+    t0 = time.perf_counter()
+    assert is_nondegenerate(G)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_non_torsion_argument_rejected():

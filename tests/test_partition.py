@@ -1,6 +1,7 @@
+import cmath
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, sqrt
+from math import gcd, lcm, pi, sqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -322,3 +323,25 @@ def test_phase_sum_agrees_with_counter_model(a, b, s, probes):
     for x in probes + [v for v, _ in a]:
         assert A.multiplicity(PhaseQ(x)) == ma[frac_mod1(x)]
         assert (PhaseQ(x) in A) == (frac_mod1(x) in ma)
+
+
+weighted_terms = st.lists(st.tuples(rationals, st.integers(1, 20)), max_size=40)
+
+
+@given(weighted_terms, st.randoms(use_true_random=False))
+def test_eval_numeric_order_free_and_accurate(terms, rng):
+    S = PhaseSum(terms)
+    value = eval_numeric(S)
+    phases = [PhaseQ(x) for x, mult in terms for _ in range(mult)]
+    for _ in range(2):
+        rng.shuffle(phases)
+        shuffled = terms[:]
+        rng.shuffle(shuffled)
+        singles = PhaseSum()
+        for x, mult in shuffled:
+            singles = singles + PhaseSum({PhaseQ(x): mult})
+        for T in (PhaseSum.from_phases(phases), PhaseSum(dict(Counter(phases))), singles):
+            assert T == S
+            assert repr(eval_numeric(T)) == repr(value)
+    direct = sum(cmath.exp(2j * pi * float(ph.value)) for ph in phases)
+    assert abs(value - direct) <= 1e-12 * max(1, S.total_terms)

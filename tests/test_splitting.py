@@ -1,6 +1,9 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
+import heegaard.splitting as splitting
 from heegaard.exact import IntMatrix, determinant
 from heegaard.splitting import (
     GluingData,
@@ -72,6 +75,19 @@ def test_gluing_data_immutable_hashable():
     assert a != lens(5, 2)
     with pytest.raises(AttributeError):
         a.R = IntMatrix.identity(1)
+
+
+@given(splitting_params)
+def test_equal_splittings_built_separately_hash_equal(params):
+    G = random_splitting(*params)
+    H = GluingData(*blocks_of(G))
+    assert G is not H and G == H and hash(G) == hash(H)
+    assert stabilize(G) == connected_sum(H, lens(1, 0))
+    assert hash(stabilize(G)) == hash(connected_sum(H, lens(1, 0)))
+    L = lens(7, 3)
+    assert hash(L) == hash(validate(*blocks_of(L))) == hash(GluingData([[2]], [[7]], [[1]], [[3]]))
+    with pytest.raises(AttributeError):
+        G._hash = 0
 
 
 @given(splitting_params)
@@ -157,6 +173,19 @@ def test_lens_completion_law(p, q):
     assert pp == abs(p)
     assert qq == (q if p >= 0 else -q) or p == 0
     assert pp * s - qq * r == 1
+
+
+def test_lens_blocks_pass_full_validation():
+    cases = [(0, 1), (0, -1), (1, 0), (1, 1), (1, -1)]
+    cases += [(p, q) for p in range(2, 51) for q in range(-p + 1, p) if gcd(p, q) == 1]
+    for p, q in cases:
+        assert block_relation_violations(*blocks_of(lens(p, q))) == []
+
+
+def test_lens_rejects_a_bad_completion(monkeypatch):
+    monkeypatch.setattr(splitting, "_egcd", lambda a, b: (1, 0, 0))
+    with pytest.raises(ValidationError, match="P†S − Q†R = 0 ≠ 1"):
+        lens(7, 3)
 
 
 def test_lens_negative_p_normalizes():
