@@ -145,7 +145,7 @@ def parse_manifold(data: bytes) -> ManifoldFile:
     """
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors, int-string limit, depth
         raise ValidationError([f"malformed JSON: {exc}"]) from exc
     if not isinstance(obj, dict):
         raise ValidationError(["top level must be a JSON object"])

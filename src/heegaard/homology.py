@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, prod
 
 from .exact import IntMatrix, SmithDecomposition, frac_mod1, integer_kernel, smith_normal_form
-from .splitting import GluingData
+from .splitting import GluingData, per_manifold
 
 
 class HomologyProfile:
@@ -81,7 +80,7 @@ class TorsionRep:
         return f"TorsionRep(({', '.join(str(x) for x in self.theta)}))"
 
 
-@lru_cache(maxsize=None)
+@per_manifold
 def homology_profile(G: GluingData) -> HomologyProfile:
     """H1 of the glued manifold: b1 plus the invariant factors of coker P.
 
@@ -178,7 +177,6 @@ class TorsionElements(Sequence):
         return prod((gcd(k, d) for d in self._dims), start=1)
 
 
-@lru_cache(maxsize=None)
 def torsion_elements(G: GluingData) -> TorsionElements:
     """All torsion classes of coker P, identity included, as canonical reps."""
     return TorsionElements(G)

@@ -8,12 +8,11 @@ block relations and are asserted by the test suite rather than assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .exact import IntMatrix, PhaseQ, smith_normal_form, vec_dot
 from .homology import homology_profile, torsion_elements
-from .splitting import GluingData
+from .splitting import GluingData, per_manifold
 
 
 class LinkingMatrix:
@@ -52,17 +51,16 @@ def linking_form(G: GluingData, theta, vartheta) -> PhaseQ:
     return PhaseQ(vec_dot(G.Q.apply(t), G.P.apply(v)))
 
 
-@lru_cache(maxsize=None)
 def linking_matrix(G: GluingData) -> LinkingMatrix:
-    """Gram matrix over the canonical SNF generators; symmetric mod 1."""
+    """Gram matrix over the canonical SNF generators: g_ij / L from gram_integerized."""
     T = torsion_elements(G)
     r = len(T.dims)
     gens = [T.by_index(tuple(1 if i == j else 0 for j in range(r))) for i in range(r)]
-    gram = [[linking_form(G, gi, gj) for gj in gens] for gi in gens]
-    return LinkingMatrix(gens, gram)
+    L, g = gram_integerized(G)
+    return LinkingMatrix(gens, [[PhaseQ(Fraction(x, L)) for x in row] for row in g])
 
 
-@lru_cache(maxsize=None)
+@per_manifold
 def gram_integerized(G: GluingData) -> tuple:
     """The gram matrix scaled onto a common denominator L.
 
@@ -73,8 +71,8 @@ def gram_integerized(G: GluingData) -> tuple:
     Computed from the Smith factors P = U D V in integers: gen_i is
     V^-1 e_i / d_i up to an integer vector and P V^-1 = U D, so
     Gamma(gen_i, gen_j) = (Q V^-1)[:, pos_i] . U[:, pos_j] / d_i mod 1.
-    linking_matrix, which evaluates the same form on the generators
-    through linking_form, is its independent check.
+    The test suite checks it against linking_form, which evaluates
+    <Q theta, P vartheta> on the generators directly.
     """
     snf = homology_profile(G).snf_of_P
     torsion = [(pos, d) for pos, d in enumerate(snf.diagonal) if d >= 2]

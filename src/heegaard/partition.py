@@ -25,7 +25,9 @@ from math import cos, fsum, gcd, lcm, pi, sin
 from .exact import PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile, torsion_elements
 from .linking import gram_integerized, is_nondegenerate, linking_form
-from .splitting import GluingData
+from .splitting import GluingData, per_manifold
+
+_ENUMERATION_LIMIT = 10**6  # largest |T| z_cs and d_r z_bf may enumerate
 
 
 class PhaseSum:
@@ -177,11 +179,6 @@ def _check_level(k: int):
         raise ValueError(f"level k must be a positive integer, got {k!r}")
 
 
-# z_cs memo: (G, k) -> Z_CS at level k, and G -> the PhaseSum of Γ(θ,θ)
-# over the torsion classes, the histogram every level of G is remapped from
-_zcs_cache: dict = {}
-
-
 def _diag_quad_counts(dims, gram, L) -> Counter:
     """Histogram of the Γ-quadratic form, scaled by L and reduced mod L.
 
@@ -207,38 +204,35 @@ def _diag_quad_counts(dims, gram, L) -> Counter:
     return out
 
 
+@per_manifold
+def _cs_histogram(G: GluingData) -> PhaseSum:
+    """PhaseSum of Γ(θ,θ) over the torsion classes, every level's source."""
+    T = torsion_elements(G)
+    if not T.dims:
+        return PhaseSum._from_counts(1, {0: 1})
+    if len(T) > _ENUMERATION_LIMIT:
+        raise ValueError(f"|T| = {len(T)} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
+    L, gram = gram_integerized(G)
+    return PhaseSum._from_counts(L, _diag_quad_counts(T.dims, gram, L))
+
+
 def z_cs(G: GluingData, k: int) -> PhaseSum:
     """Exact CS partition sum: one term −k·Γ(θ,θ) per torsion class.
 
-    The torsion group is enumerated once per manifold into the histogram
-    of L·Γ(θ,θ) mod L; level k maps each bin n to −k·n mod L, at a cost
-    of one step per distinct value rather than per class.  The identity
-    class contributes phase 0, so the sphere normalizes to {0: 1}.
-    Results and the histogram are memoized in _zcs_cache.
+    The torsion group is enumerated once per manifold into the histogram of
+    L·Γ(θ,θ) mod L kept on G (_cs_histogram); level k maps each bin n to
+    −k·n mod L.  The identity class contributes phase 0, so the sphere
+    normalizes to {0: 1}.  |T| above _ENUMERATION_LIMIT raises ValueError.
     """
     _check_level(k)
-    key = (G, k)
-    hit = _zcs_cache.get(key)
-    if hit is not None:
-        return hit
-    hist = _zcs_cache.get(G)
-    if hist is None:
-        dims = torsion_elements(G).dims
-        if dims:
-            L, gram = gram_integerized(G)
-            hist = PhaseSum._from_counts(L, _diag_quad_counts(dims, gram, L))
-        else:
-            hist = PhaseSum._from_counts(1, {0: 1})
-        _zcs_cache[G] = hist
+    hist = _cs_histogram(G)
     L = hist._den
     mk = -k % L
     counts = {}
     for n, c in hist._counts.items():
         n = n * mk % L
         counts[n] = counts.get(n, 0) + c
-    result = PhaseSum._from_counts(L, counts)
-    _zcs_cache[key] = result
-    return result
+    return PhaseSum._from_counts(L, counts)
 
 
 def _divisors(n: int) -> list:
@@ -263,26 +257,22 @@ def z_bf(G: GluingData, k: int) -> PhaseSum:
     number of θ with ord(kθ) dividing n is Π gcd(nk, d_i); peeling off the
     counts of proper divisors, in increasing order, leaves the number with
     ord(kθ) = n.  A reduced phase a/b then has multiplicity
-    Σ_{b | n | d_r} #{ord(kθ) = n}·|T|/n, written straight in as the
-    numerator a·d_r/b over d_r.  Cost O(#divisors(d_r)² + d_r).
+    Σ_{b | n | d_r} #{ord(kθ) = n}·|T|/n, given to each numerator a over d_r
+    with b = d_r/gcd(a, d_r).  Cost O(#divisors(d_r)² + d_r).
     """
     _check_level(k)
     T = torsion_elements(G)
-    divisors = _divisors(T.dims[-1] if T.dims else 1)
+    top = T.dims[-1] if T.dims else 1
+    if top > _ENUMERATION_LIMIT:
+        raise ValueError(f"d_r = {top} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
+    divisors = _divisors(top)
     by_order = {}  # n -> #{θ : ord(kθ) = n}
     for n in divisors:
         by_order[n] = T.kernel_count(n * k) - sum(
             c for m, c in by_order.items() if n % m == 0
         )
-    top = divisors[-1]
-    counts = {}
-    for b in divisors:
-        mult = sum(c * (len(T) // n) for n, c in by_order.items() if n % b == 0)
-        if mult:
-            step = top // b
-            for a in range(b):
-                if gcd(a, b) == 1:
-                    counts[a * step] = mult
+    mult = {b: sum(c * len(T) // n for n, c in by_order.items() if n % b == 0) for b in divisors}
+    counts = {a: m for a in range(top) if (m := mult[top // gcd(a, top)])}
     return PhaseSum._from_counts(top, counts)
 
 

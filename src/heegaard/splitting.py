@@ -10,6 +10,7 @@ anti-symplectic for the surface intersection form J.
 from __future__ import annotations
 
 import random
+from functools import wraps
 from math import gcd
 from typing import Iterable
 
@@ -47,9 +48,10 @@ def _coerce_blocks(r, p, s, q) -> tuple:
 
 
 def _fmt(m: IntMatrix) -> str:
-    if m.shape == (1, 1):
-        return str(m[0, 0])
-    return str([list(row) for row in m.to_rows()])
+    try:  # str() refuses ints past the interpreter's digit limit
+        return str(m[0, 0]) if m.shape == (1, 1) else str([list(row) for row in m.to_rows()])
+    except ValueError:
+        return "<entries too long to print>"
 
 
 def block_relation_violations(r, p, s, q) -> list:
@@ -86,11 +88,11 @@ class GluingData:
 
     Construction runs the full six-relation validation and raises
     ValidationError otherwise, so every live instance is valid.  Instances
-    are immutable and hashable (partition sums memoize on them); the hash
-    is computed once, at construction.
+    are immutable and hashable, for use as dict or set keys; invariants
+    derived from them live on the instance (per_manifold), outside its value.
     """
 
-    __slots__ = ("genus", "R", "P", "S", "Q", "_hash")
+    __slots__ = ("genus", "R", "P", "S", "Q", "_hash", "_memo")
 
     def __init__(self, r, p, s, q):
         R, P, S, Q = _coerce_blocks(r, p, s, q)
@@ -107,6 +109,7 @@ class GluingData:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "_hash", hash((genus, R, P, S, Q)))
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def _trusted(cls, R, P, S, Q) -> "GluingData":
@@ -152,6 +155,16 @@ class GluingData:
             f"GluingData(genus={self.genus}, R={self.R.to_rows()}, "
             f"P={self.P.to_rows()}, S={self.S.to_rows()}, Q={self.Q.to_rows()})"
         )
+
+
+def per_manifold(fn):
+    """Compute fn(G) once per GluingData instance and keep it on G."""
+    @wraps(fn)
+    def memoized(G: GluingData):
+        if fn not in G._memo:
+            G._memo[fn] = fn(G)
+        return G._memo[fn]
+    return memoized
 
 
 def validate(r, p, s, q) -> GluingData:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import heegaard
 from heegaard.cli import (
     ManifoldFile,
     parse_manifold,
@@ -54,6 +59,80 @@ def test_parse_rejects_malformed():
     # bool is not an int here
     with pytest.raises(ValidationError):
         parse_manifold(b'{"genus":true,"R":[[0]],"P":[[1]],"S":[[1]],"Q":[[0]]}')
+
+
+# JSON text fragments: ordinary and huge integers (past the 4300-digit
+# int-string limit), floats, bools, nulls, strings, and deep or unbalanced
+# bracket runs
+entries = st.one_of(
+    st.integers(-(10**40), 10**40).map(str),
+    st.integers(1, 6000).map(lambda n: "9" * n),
+    st.floats(allow_nan=True, allow_infinity=True).map(json.dumps),
+    st.sampled_from(["true", "false", "null", '"1"', "{}"]),
+    st.integers(1, 10**5).map(lambda n: "[" * n + "]" * n),
+    st.integers(1, 10**5).map(lambda n: "[" * n),
+)
+rows = st.lists(entries, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]")
+blocks = st.one_of(entries, st.lists(rows, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]"))
+documents = st.fixed_dictionaries(
+    {"genus": st.one_of(st.sampled_from(["0", "1", "2", "3", "-1"]), entries)},
+    optional={b: blocks for b in ("R", "P", "S", "Q", "name", "extra")},
+).map(lambda d: "{" + ",".join(f'"{k}":{v}' for k, v in d.items()) + "}")
+
+
+@example(b"[" * 10**5)
+@example(b'{"genus":1,"R":[[' + b"7" * 5000 + b']],"P":[[1]],"S":[[1]],"Q":[[0]]}')
+@example(
+    # relations fail on a product of two 4000-digit entries
+    ('{"genus":2,"R":[[%d,0],[0,1]],"P":[[%d,1],[0,1]],"S":[[1,0],[0,1]],'
+     '"Q":[[0,0],[0,0]]}' % (10**4000, 10**4000)).encode()
+)
+@given(st.one_of(documents.map(str.encode), st.binary(max_size=64)))
+def test_parse_manifold_fuzz_only_raises_validation_error(data):
+    try:
+        mf = parse_manifold(data)
+    except ValidationError as exc:
+        assert exc.violations
+    else:
+        assert isinstance(mf, ManifoldFile)
+
+
+def run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(heegaard.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "heegaard", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"genus":1,"R":[[' + b"7" * 5000 + b']],"P":[[1]],"S":[[1]],"Q":[[0]]}',
+        b"[" * 10**5,
+    ],
+    ids=["5000-digit-int", "nested-1e5"],
+)
+def test_malformed_file_exits_2_in_subprocess(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["validation"]["valid"] is False
+    assert report["validation"]["violations"][0].startswith("malformed JSON")
+
+
+def test_partition_past_enumeration_limit_exits_1(lens_file):
+    path = lens_file(10**9, 1)
+    for theory in ("cs", "bf"):
+        proc = run_cli("partition", path, "--theory", theory, "--level", "1")
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"]["type"] == "ValueError"
+        assert "enumeration limit" in proc.stderr
 
 
 def test_parse_rejects_invalid_relations():

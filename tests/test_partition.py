@@ -1,4 +1,7 @@
 import cmath
+import re
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, pi, sqrt
@@ -9,7 +12,7 @@ from hypothesis import given, strategies as st
 import heegaard.partition as partition
 from heegaard.exact import PhaseQ, frac_mod1
 from heegaard.homology import homology_profile, torsion_elements
-from heegaard.linking import linking_matrix
+from heegaard.linking import is_nondegenerate, linking_matrix
 from heegaard.partition import (
     PhaseSum,
     eval_numeric,
@@ -19,7 +22,7 @@ from heegaard.partition import (
     z_bf_closed_form,
     z_cs,
 )
-from heegaard.splitting import lens, random_splitting
+from heegaard.splitting import GluingData, connected_sum, lens, random_splitting
 from oracle_helpers import bf_pair_histogram
 
 splitting_params = st.tuples(
@@ -28,8 +31,7 @@ splitting_params = st.tuples(
 
 
 def fresh(G, k, fn):
-    partition._zcs_cache.clear()
-    return fn(G, k)
+    return fn(GluingData(G.R, G.P, G.S, G.Q), k)
 
 
 def assert_z_bf_matches_pair_oracle(G, k):
@@ -138,9 +140,52 @@ def test_z_cs_term_values_match_literal_loop():
     assert fresh(G, k, z_cs) == expected
 
 
-def test_z_cs_memoized():
+def test_z_cs_enumerates_once_per_manifold(monkeypatch):
+    calls = []
+    enumerate_classes = partition._diag_quad_counts
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_classes(*args)
+
+    monkeypatch.setattr(partition, "_diag_quad_counts", counting)
     G = lens(7, 3)
-    assert z_cs(G, 2) is z_cs(lens(7, 3), 2)
+    for k in range(1, 7):
+        z_cs(G, k)
+    assert len(calls) == 1
+    again = GluingData(G.R, G.P, G.S, G.Q)
+    for k in range(1, 7):
+        assert z_cs(again, k) == z_cs(G, k)
+    assert len(calls) == 2
+
+
+def test_pipeline_keeps_no_reference_to_the_manifold():
+    G = random_splitting(2, 3, 12)
+    assert torsion_elements(G).dims
+    before = sys.getrefcount(G)
+    homology_profile(G)
+    torsion_elements(G)
+    linking_matrix(G)
+    is_nondegenerate(G)
+    for k in (1, 2, 3):
+        z_cs(G, k)
+        z_bf(G, k)
+    assert sys.getrefcount(G) == before
+
+
+def test_enumeration_limit_raises_instead_of_allocating():
+    G = lens(10**9, 1)
+    limit = partition._ENUMERATION_LIMIT
+    for fn, size in ((z_cs, "|T| = 1000000000"), (z_bf, "d_r = 1000000000")):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"{size} exceeds the enumeration limit {limit}")):
+            fn(G, 1)
+        assert time.perf_counter() - t0 < 0.1
+    # past the limit only the paths that enumerate refuse
+    cube = connected_sum(connected_sum(lens(1000, 3), lens(1000, 7)), lens(1000, 11))
+    assert is_nondegenerate(cube)
+    S = z_bf(cube, 1)
+    assert S.total_terms == 10**18 and len(S) == 1000
 
 
 def test_level_validation():
@@ -272,7 +317,7 @@ def test_grid_oracle_refuses_degenerate_free_pairing():
 def assert_z_cs_matches_literal_loop(G, levels):
     from heegaard.linking import linking_form
 
-    partition._zcs_cache.clear()
+    G = GluingData(G.R, G.P, G.S, G.Q)
     gammas = [linking_form(G, t, t) for t in torsion_elements(G)]
     for k in levels:
         assert z_cs(G, k) == PhaseSum.from_phases(g * (-k) for g in gammas)
