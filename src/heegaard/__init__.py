@@ -16,7 +16,6 @@ from .exact import (
     frac_mod1,
     integer_kernel,
     smith_normal_form,
-    unimodular_inverse,
     vec_dot,
 )
 from .fields import FiniteDBClass, bf_action, cs_action, db_pair, zero_mode_shift
@@ -63,7 +62,6 @@ __all__ = [
     "frac_mod1",
     "integer_kernel",
     "smith_normal_form",
-    "unimodular_inverse",
     "vec_dot",
     "FiniteDBClass",
     "bf_action",

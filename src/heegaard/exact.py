@@ -53,6 +53,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        return IntMatrix, (self.rows, self.cols, self.entries)
+
     # ----- constructors -------------------------------------------------
 
     @classmethod
@@ -93,10 +96,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     # ----- algebra ------------------------------------------------------
 
@@ -189,6 +188,9 @@ class PhaseQ:
     def __setattr__(self, name, value):
         raise AttributeError("PhaseQ is immutable")
 
+    def __reduce__(self):
+        return PhaseQ, (self.value,)
+
     @property
     def numerator(self) -> int:
         return self.value.numerator
@@ -243,16 +245,17 @@ class SmithDecomposition:
 
     Nonzero diagonal entries of D are positive and form a divisibility
     chain d1 | d2 | ... | dr; zeros trail.  The diagonal is canonical for
-    the input matrix, while U and V are not unique.
+    the input matrix, while U and V are not unique.  v_inverse is the
+    exact integer inverse of V, tracked alongside it.
     """
 
-    __slots__ = ("U", "D", "V", "_v_inverse")
+    __slots__ = ("U", "D", "V", "v_inverse")
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, v_inverse: IntMatrix):
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "_v_inverse", None)
+        object.__setattr__(self, "v_inverse", v_inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("SmithDecomposition is immutable")
@@ -265,13 +268,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
-
-    @property
-    def v_inverse(self) -> IntMatrix:
-        """Exact integer inverse of V, computed once on demand."""
-        if self._v_inverse is None:
-            object.__setattr__(self, "_v_inverse", unimodular_inverse(self.V))
-        return self._v_inverse
 
     def __repr__(self) -> str:
         return f"SmithDecomposition(diagonal={list(self.diagonal)!r})"
@@ -288,148 +284,78 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     Returns
     -------
     SmithDecomposition
-        U, D, V with A = U @ D @ V exactly, U and V unimodular, and the
-        diagonal of D the canonical invariant-factor chain.
+        U, D, V and V^-1 with A = U @ D @ V exactly, U and V unimodular,
+        and the diagonal of D the canonical invariant-factor chain.
 
-    Pivoting picks the smallest-magnitude nonzero entry to limit entry
-    growth; all arithmetic is on Python ints, so intermediate blowup is
-    legal, just slower.
+    Stage t moves to (t, t) the smallest nonzero entry of row t and
+    column t (of the whole trailing block only when both are zero), then
+    reduces the rest of that row and column by the nearest-integer
+    quotient, so every remainder is at most |pivot|/2.  It repeats until
+    the row and column are clear; if some trailing entry is then not a
+    multiple of the pivot, its row is added to row t and the stage goes on.
+    Either way the next pivot is a nonzero remainder, so |pivot| at least
+    halves on every repeat and stage t ends after at most log2|pivot| + 2
+    passes.  Always reducing to the smallest remainder keeps the entries
+    of U, V and V^-1 small; floor quotients let them grow without bound.
     """
     m, n = A.rows, A.cols
     work = [list(A.row(i)) for i in range(m)]
-    # invariant maintained by every elementary step: A == u @ work @ v
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # A == U @ work @ V throughout; ut holds the columns of U and vit the
+    # columns of V^-1, so that every update below is a row update
+    ut = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    vit = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def row_swap(i, j):
-        work[i], work[j] = work[j], work[i]
-        for r in range(m):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
+    def axpy(rows, i, j, c):  # rows[i] += c * rows[j]
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
 
-    def row_addmul(i, j, c):
-        # work: row i += c * row j, so u: col j -= c * col i
-        wi, wj = work[i], work[j]
-        for t in range(n):
-            wi[t] += c * wj[t]
-        for r in range(m):
-            u[r][j] -= c * u[r][i]
+    def row_add(i, j, c):  # work row i += c * row j, so U col j -= c * col i
+        axpy(work, i, j, c)
+        axpy(ut, j, i, -c)
 
-    def row_negate(i):
-        work[i] = [-e for e in work[i]]
-        for r in range(m):
-            u[r][i] = -u[r][i]
+    def col_add(i, j, c):  # work col i += c * col j, so V row j -= c * row i
+        for row in work:
+            row[i] += c * row[j]
+        axpy(v, j, i, -c)
+        axpy(vit, i, j, c)
 
-    def col_swap(i, j):
-        for r in range(m):
-            work[r][i], work[r][j] = work[r][j], work[r][i]
-        v[i], v[j] = v[j], v[i]
-
-    def col_addmul(i, j, c):
-        # work: col i += c * col j, so v: row j -= c * row i
-        for r in range(m):
-            work[r][i] += c * work[r][j]
-        vi, vj = v[i], v[j]
-        for t in range(n):
-            vj[t] -= c * vi[t]
-
-    def col_negate(i):
-        for r in range(m):
-            work[r][i] = -work[r][i]
-        v[i] = [-e for e in v[i]]
-
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry of the trailing submatrix becomes the pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = work[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    piv = (i, j)
-        if piv is None:
-            break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
-
+    for t in range(min(m, n)):
         while True:
-            # Euclidean clearing of column t and row t; each swap strictly
-            # shrinks |pivot|, so this terminates
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, m):
-                    if work[i][t]:
-                        q = work[i][t] // work[t][t]
-                        if q:
-                            row_addmul(i, t, -q)
-                        if work[i][t]:
-                            row_swap(t, i)
-                            dirty = True
-                for j in range(t + 1, n):
-                    if work[t][j]:
-                        q = work[t][j] // work[t][t]
-                        if q:
-                            col_addmul(j, t, -q)
-                        if work[t][j]:
-                            col_swap(t, j)
-                            dirty = True
-            # divisibility fix-up: fold in a row holding a non-multiple,
-            # which drives the pivot down to a gcd on the next pass
-            bad_row = None
-            for i in range(t + 1, m):
-                if any(work[i][j] % work[t][t] for j in range(t + 1, n)):
-                    bad_row = i
-                    break
-            if bad_row is None:
+            nz = [(i, t) for i in range(t, m) if work[i][t]]
+            nz += [(t, j) for j in range(t + 1, n) if work[t][j]]
+            nz = nz or [(i, j) for i in range(t, m) for j in range(t, n) if work[i][j]]
+            if not nz:
                 break
-            row_addmul(t, bad_row, 1)
+            i, j = min(nz, key=lambda ij: abs(work[ij[0]][ij[1]]))
+            work[t], work[i] = work[i], work[t]
+            ut[t], ut[i] = ut[i], ut[t]
+            for row in work:
+                row[t], row[j] = row[j], row[t]
+            v[t], v[j] = v[j], v[t]
+            vit[t], vit[j] = vit[j], vit[t]
+            p = work[t][t]
+            for i in range(t + 1, m):
+                if work[i][t]:
+                    row_add(i, t, -((2 * work[i][t] + p) // (2 * p)))
+            for j in range(t + 1, n):
+                if work[t][j]:
+                    col_add(j, t, -((2 * work[t][j] + p) // (2 * p)))
+            if any(work[i][t] for i in range(t + 1, m)) or any(work[t][t + 1 :]):
+                continue
+            bad = next((i for i in range(t + 1, m) if any(e % p for e in work[i][t + 1 :])), None)
+            if bad is None:
+                break
+            row_add(t, bad, 1)
         if work[t][t] < 0:
-            row_negate(t)
-        t += 1
+            work[t] = [-e for e in work[t]]
+            ut[t] = [-e for e in ut[t]]
 
-    U = IntMatrix.from_rows(u) if m else IntMatrix(0, 0, [])
-    V = IntMatrix.from_rows(v) if n else IntMatrix(0, 0, [])
-    D = IntMatrix.from_rows(work) if m else IntMatrix(0, n, [])
-    return SmithDecomposition(U, D, V)
-
-
-def unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    Gauss-Jordan over Fraction; raises ValueError if M is singular or the
-    inverse is not integral (i.e. M was not unimodular).
-    """
-    if not M.is_square:
-        raise ValueError("only square matrices can be inverted")
-    n = M.rows
-    aug = [
-        [Fraction(M[i, j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        p = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [e * inv for e in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            e = aug[i][j + n]
-            if e.denominator != 1:
-                raise ValueError("matrix is invertible over Q but not unimodular")
-            out.append(e.numerator)
-    return IntMatrix(n, n, out)
+    return SmithDecomposition(
+        IntMatrix(m, m, [e for row in ut for e in row]).transpose(),
+        IntMatrix(m, n, [e for row in work for e in row]),
+        IntMatrix(n, n, [e for row in v for e in row]),
+        IntMatrix(n, n, [e for row in vit for e in row]).transpose(),
+    )
 
 
 def integer_kernel(A: IntMatrix) -> list:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .exact import PhaseQ, RationalQ, vec_dot
 from .homology import TorsionRep
 from .linking import linking_form
+from .partition import _check_level
 from .splitting import GluingData
 
 
@@ -107,11 +108,6 @@ class FiniteDBClass:
 def _check_consistent(G: GluingData, A: FiniteDBClass, name: str):
     if A.G != G:
         raise ValueError(f"sector constraint violation: class {name} belongs to different gluing data")
-
-
-def _check_level(k: int):
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"level k must be a positive integer, got {k!r}")
 
 
 def cs_action(G: GluingData, A: FiniteDBClass, k: int) -> PhaseQ:

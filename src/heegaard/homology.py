@@ -2,7 +2,7 @@
 
 The Smith form P = U D V turns coker P into Z^{b1} + sum of Z_{d_i}.
 Torsion classes get canonical rational representatives theta in [0,1)^g
-with P theta integral, built from the diagonal coordinates phi = V theta.
+with P theta integral, built from the columns of V^-1 over d_r.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, prod
 
-from .exact import IntMatrix, SmithDecomposition, frac_mod1, integer_kernel, smith_normal_form
+from .exact import SmithDecomposition, frac_mod1, integer_kernel, smith_normal_form, vec_dot
 from .splitting import GluingData, per_manifold
 
 
@@ -108,11 +108,18 @@ class TorsionElements(Sequence):
         diag = snf.diagonal
         self._dims = profile.invariant_factors
         self._positions = tuple(i for i, d in enumerate(diag) if d >= 2)
-        self._free_positions = tuple(i for i, d in enumerate(diag) if d == 0)
         self._v = snf.V
-        self._vinv = snf.v_inverse
         self._genus = G.genus
         self._order = profile.torsion_order
+        # generator i is V^-1 e_pos_i / d_i; over the common denominator
+        # den = d_r its numerators are (den/d_i) * V^-1[:, pos_i] mod den,
+        # stored here by coordinate c = 0..g-1
+        self._den = den = self._dims[-1] if self._dims else 1
+        vinv = snf.v_inverse
+        self._gen_nums = tuple(
+            tuple(den // d * vinv[c, pos] % den for d, pos in zip(self._dims, self._positions))
+            for c in range(G.genus)
+        )
 
     @property
     def dims(self) -> tuple:
@@ -139,11 +146,8 @@ class TorsionElements(Sequence):
         """Canonical representative of the multi-index (a_1, ..., a_r)."""
         if len(index) != len(self._dims):
             raise ValueError(f"expected {len(self._dims)} indices, got {len(index)}")
-        phi = [Fraction(0)] * self._genus
-        for a, d, pos in zip(index, self._dims, self._positions):
-            phi[pos] = Fraction(a % d, d)
-        theta = self._vinv.apply(phi)
-        return TorsionRep(tuple(frac_mod1(x) for x in theta))
+        den = self._den
+        return TorsionRep(tuple(Fraction(vec_dot(index, row) % den, den) for row in self._gen_nums))
 
     def index_of(self, rep) -> tuple:
         """Multi-index of any torsion representative (not just canonical ones).

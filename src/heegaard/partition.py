@@ -27,7 +27,7 @@ from .homology import curvature_lattice_basis, homology_profile, torsion_element
 from .linking import gram_integerized, is_nondegenerate, linking_form
 from .splitting import GluingData, per_manifold
 
-_ENUMERATION_LIMIT = 10**6  # largest |T| z_cs and d_r z_bf may enumerate
+_ENUMERATION_LIMIT = 10**6  # largest |T|, d_r or p that a sum here may enumerate
 
 
 class PhaseSum:
@@ -75,6 +75,9 @@ class PhaseSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseSum is immutable")
+
+    def __reduce__(self):
+        return PhaseSum._from_counts, (self._den, self._counts)
 
     @classmethod
     def from_phases(cls, phases) -> "PhaseSum":
@@ -179,6 +182,11 @@ def _check_level(k: int):
         raise ValueError(f"level k must be a positive integer, got {k!r}")
 
 
+def _check_enumerable(what: str, size: int):
+    if size > _ENUMERATION_LIMIT:
+        raise ValueError(f"{what} = {size} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
+
+
 def _diag_quad_counts(dims, gram, L) -> Counter:
     """Histogram of the Γ-quadratic form, scaled by L and reduced mod L.
 
@@ -210,8 +218,7 @@ def _cs_histogram(G: GluingData) -> PhaseSum:
     T = torsion_elements(G)
     if not T.dims:
         return PhaseSum._from_counts(1, {0: 1})
-    if len(T) > _ENUMERATION_LIMIT:
-        raise ValueError(f"|T| = {len(T)} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
+    _check_enumerable("|T|", len(T))
     L, gram = gram_integerized(G)
     return PhaseSum._from_counts(L, _diag_quad_counts(T.dims, gram, L))
 
@@ -263,8 +270,7 @@ def z_bf(G: GluingData, k: int) -> PhaseSum:
     _check_level(k)
     T = torsion_elements(G)
     top = T.dims[-1] if T.dims else 1
-    if top > _ENUMERATION_LIMIT:
-        raise ValueError(f"d_r = {top} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
+    _check_enumerable("d_r", top)
     divisors = _divisors(top)
     by_order = {}  # n -> #{θ : ord(kθ) = n}
     for n in divisors:
@@ -295,10 +301,12 @@ def gauss_sum_oracle(p: int, q: int, k: int) -> complex:
 
     Independent of every exact-arithmetic code path; exponents are reduced
     mod p before hitting floating point so the 1e−9 comparisons are easy.
+    p above _ENUMERATION_LIMIT raises ValueError.
     """
     p, q, k = int(p), int(q), int(k)
     if p < 1:
         raise ValueError("p must be at least 1")
+    _check_enumerable("p", p)
     _check_level(k)
     if gcd(p, q) != 1:
         raise ValueError(f"gauss_sum_oracle({p}, {q}, ...) requires gcd(p, q) = 1")
@@ -319,6 +327,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     A second, sharper guard raises if any nonzero m in the window would
     alias to zero on the chosen grid (including m with B_f†m = 0), so a
     passing run certifies the delta reduction rather than assuming it.
+    |T| above _ENUMERATION_LIMIT raises ValueError.
     """
     _check_level(k)
     grid_n = int(grid_n)
@@ -328,6 +337,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     if m_window < 0:
         raise ValueError("m_window must be nonnegative")
     profile = homology_profile(G)
+    _check_enumerable("|T|", profile.torsion_order)
     # torsion factor by its own literal loop, independent of z_cs internals
     torsion_part = 0j
     for rep in torsion_elements(G):

@@ -122,6 +122,10 @@ class GluingData:
     def __setattr__(self, name, value):
         raise AttributeError("GluingData is immutable")
 
+    def __reduce__(self):
+        # the blocks alone, re-validated on load; _memo does not travel
+        return GluingData, (self.R, self.P, self.S, self.Q)
+
     @property
     def matrix(self) -> IntMatrix:
         """The full 2g x 2g gluing matrix [[R, P], [S, Q]]."""

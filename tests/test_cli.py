@@ -14,6 +14,7 @@ from heegaard.cli import (
     serialize_manifold,
 )
 from heegaard.splitting import ValidationError, lens, random_splitting
+from oracle_helpers import minor_gcd_diagonal
 
 
 @pytest.fixture()
@@ -133,6 +134,20 @@ def test_partition_past_enumeration_limit_exits_1(lens_file):
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"]["type"] == "ValueError"
         assert "enumeration limit" in proc.stderr
+
+
+def test_homology_of_random_genus5_file_finishes(capture, tmp_path):
+    # this splitting's P stalled floor-quotient Smith elimination for minutes
+    code, text, _ = capture("random", "--genus", "5", "--seed", "5", "--length", "48")
+    assert code == 0
+    path = tmp_path / "g5.json"
+    path.write_text(text)
+    proc = run_cli("homology", str(path))
+    assert proc.returncode == 0, proc.stderr
+    factors = json.loads(proc.stdout)["results"]["invariant_factors"]
+    assert factors == [1848772]
+    P = parse_manifold(text.encode()).gluing().P
+    assert [d for d in minor_gcd_diagonal(P.to_rows()) if d > 1] == factors
 
 
 def test_parse_rejects_invalid_relations():

@@ -10,9 +10,9 @@ from heegaard.exact import (
     frac_mod1,
     integer_kernel,
     smith_normal_form,
-    unimodular_inverse,
     vec_dot,
 )
+from heegaard.splitting import random_splitting
 from oracle_helpers import (
     abelian_order_multiset,
     cokernel_order_multiset,
@@ -23,7 +23,7 @@ from oracle_helpers import (
 entries = st.integers(min_value=-9, max_value=9)
 
 
-def int_matrices(max_dim=5):
+def int_matrices(max_dim=5, entries=entries):
     return st.integers(1, max_dim).flatmap(
         lambda n: st.integers(1, max_dim).flatmap(
             lambda m: st.lists(
@@ -215,7 +215,36 @@ def test_snf_rank_and_v_inverse(rows):
     snf = smith_normal_form(a)
     assert snf.rank == sum(1 for d in snf.diagonal if d)
     vi = snf.v_inverse
-    assert snf.V @ vi == IntMatrix.identity(a.cols)
+    assert snf.V @ vi == vi @ snf.V == IntMatrix.identity(a.cols)
+
+
+# Inputs on which floor-quotient elimination blew U and V up to millions of
+# bits and ran for minutes; nearest-integer reduction keeps them small.
+BLOWUP_INPUTS = [
+    [[-19, 14, -23, 21, -9], [23, 7, -19, -26, 15], [-14, 15, 18, -3, 27],
+     [-11, -17, -22, 30, -24], [13, -15, 29, 28, 10]],
+    random_splitting(5, 5, 48).P.to_rows(),
+    random_splitting(6, 31, 48).P.to_rows(),
+]
+
+
+def assert_transforms_small(rows):
+    snf_all_properties(rows)
+    snf = smith_normal_form(IntMatrix.from_rows(rows))
+    vi = snf.v_inverse
+    assert snf.V @ vi == vi @ snf.V == IntMatrix.identity(len(rows[0]))
+    for M in (snf.U, snf.V, vi):
+        assert max(abs(e).bit_length() for e in M.entries) <= 128
+
+
+@pytest.mark.parametrize("rows", BLOWUP_INPUTS, ids=["pinned-5x5", "g5-s5-l48", "g6-s31-l48"])
+def test_snf_entries_stay_small(rows):
+    assert_transforms_small(rows)
+
+
+@given(int_matrices(5, st.integers(-30, 30)))
+def test_snf_wide_entries(rows):
+    assert_transforms_small(rows)
 
 
 # --------------------------------------------------------------- cokernel
@@ -233,21 +262,7 @@ def test_cokernel_matches_residue_enumeration(rows):
     assert cokernel_order_multiset(rows) == abelian_order_multiset(factors)
 
 
-# ------------------------------------------------- inverse, kernel, det
-
-
-def test_unimodular_inverse_roundtrip():
-    u = IntMatrix.from_rows([[2, 1], [1, 1]])
-    ui = unimodular_inverse(u)
-    assert u @ ui == IntMatrix.identity(2)
-    assert ui @ u == IntMatrix.identity(2)
-
-
-def test_unimodular_inverse_rejects_singular_and_nonunimodular():
-    with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix.from_rows([[1, 1], [1, 1]]))
-    with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+# --------------------------------------------------------- kernel, det
 
 
 def test_integer_kernel_pinned():

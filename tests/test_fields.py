@@ -138,7 +138,7 @@ def test_bf_diagonal_recovers_cs(params, k, salt):
 def test_level_must_be_positive():
     G = lens(5, 2)
     A = FiniteDBClass(G)
-    for bad in (0, -1, Fraction(1, 2), "2"):
+    for bad in (0, -1, Fraction(1, 2), "2", True):
         with pytest.raises(ValueError):
             cs_action(G, A, bad)
 

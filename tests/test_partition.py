@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 import re
 import sys
 import time
@@ -7,10 +9,10 @@ from fractions import Fraction
 from math import gcd, lcm, pi, sqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import heegaard.partition as partition
-from heegaard.exact import PhaseQ, frac_mod1
+from heegaard.exact import IntMatrix, PhaseQ, frac_mod1
 from heegaard.homology import homology_profile, torsion_elements
 from heegaard.linking import is_nondegenerate, linking_matrix
 from heegaard.partition import (
@@ -22,7 +24,14 @@ from heegaard.partition import (
     z_bf_closed_form,
     z_cs,
 )
-from heegaard.splitting import GluingData, connected_sum, lens, random_splitting
+from heegaard.splitting import (
+    GluingData,
+    blocks_to_matrix,
+    connected_sum,
+    lens,
+    matrix_to_blocks,
+    random_splitting,
+)
 from oracle_helpers import bf_pair_histogram
 
 splitting_params = st.tuples(
@@ -88,6 +97,32 @@ def test_phase_sum_immutable():
     s = PhaseSum()
     with pytest.raises(AttributeError):
         s._terms = {}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IntMatrix.from_rows([[2, -1], [10**30, 0]]),
+        lambda: PhaseQ(Fraction(3, 7)),
+        lambda: z_cs(lens(7, 3), 2),
+        lambda: random_splitting(2, 5, 12),
+    ],
+    ids=["IntMatrix", "PhaseQ", "PhaseSum", "GluingData"],
+)
+def test_values_pickle_and_copy(make):
+    x = make()
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(clone) is type(x)
+        assert clone == x and hash(clone) == hash(x)
+
+
+def test_unpickled_manifold_starts_with_empty_memo():
+    G = lens(12, 5)
+    z_cs(G, 1)
+    assert G._memo
+    H = pickle.loads(pickle.dumps(G))
+    assert H == G and H._memo == {}
+    assert z_cs(H, 1) == z_cs(G, 1)
 
 
 def test_eval_numeric_pinned():
@@ -188,6 +223,16 @@ def test_enumeration_limit_raises_instead_of_allocating():
     assert S.total_terms == 10**18 and len(S) == 1000
 
 
+def test_oracles_refuse_past_enumeration_limit():
+    limit = partition._ENUMERATION_LIMIT
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"p = {10**7 + 19} exceeds the enumeration limit {limit}")):
+        gauss_sum_oracle(10**7 + 19, 1, 1)
+    with pytest.raises(ValueError, match=re.escape(f"|T| = {10**9} exceeds the enumeration limit {limit}")):
+        free_mode_grid_oracle(lens(10**9, 1), 1, 1, 0)
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_level_validation():
     for bad in (0, -2, Fraction(1, 2), True):
         with pytest.raises(ValueError):
@@ -248,6 +293,45 @@ def test_z_bf_matches_pair_oracle_random(params, k):
 
 
 # ------------------------------------------------------------------ oracles
+
+
+def handlebody_move(data, g) -> IntMatrix:
+    """[[A, 0], [A⁻ᵀΣ, A⁻ᵀ]]: A a word in GL_g(ℤ), Σ symmetric; symplectic."""
+    A = [[int(i == j) for j in range(g)] for i in range(g)]
+    Ainv = [row[:] for row in A]
+    for _ in range(data.draw(st.integers(0, 16))):
+        i, j = data.draw(st.integers(0, g - 1)), data.draw(st.integers(0, g - 1))
+        if i == j:  # negate row i of A; A⁻¹ negates column i
+            A[i] = [-x for x in A[i]]
+            for row in Ainv:
+                row[i] = -row[i]
+        else:  # row i += c·row j of A; A⁻¹ gets column j −= c·column i
+            c = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+            for row in Ainv:
+                row[j] -= c * row[i]
+    sym = [[0] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            sym[i][j] = sym[j][i] = data.draw(st.integers(-3, 3))
+    A, Ainv_t, sym = (IntMatrix.from_rows(m) for m in (A, Ainv, sym))
+    Ainv_t = Ainv_t.transpose()
+    return blocks_to_matrix(A, IntMatrix.zeros(g, g), Ainv_t @ sym, Ainv_t)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(0, 200), st.sampled_from([6, 12, 22])), st.data())
+def test_presentation_invariance_law(params, data):
+    """X·M·Y is the same manifold for handlebody moves X, Y: all invariants equal."""
+    G = random_splitting(*params)
+    assume(1 < homology_profile(G).torsion_order <= 2000)
+    g = G.genus
+    X, Y = handlebody_move(data, g), handlebody_move(data, g)
+    H = GluingData(*matrix_to_blocks(X @ G.matrix @ Y))
+    assert homology_profile(H) == homology_profile(G)
+    assert is_nondegenerate(H) == is_nondegenerate(G)
+    for k in (1, 2, 3, 6):
+        assert z_cs(H, k) == z_cs(G, k)
+        assert z_bf(H, k) == z_bf(G, k)
 
 
 def test_gauss_sum_pinned():
