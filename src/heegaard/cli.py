@@ -6,6 +6,13 @@ byte-identical across runs for identical input and flags: keys are sorted,
 floats are fixed at 12 significant digits, and timing is only attached
 under an explicit --timing flag (it is the one deliberately
 non-deterministic field).
+
+Two runners carry every subcommand.  A report command reads one file,
+validates it once and emits {command, input_digest, validation, results},
+plus timing under --timing, on a validation failure too; it is a function
+(G, ns) -> results.  A writer builds a manifold, a function
+(ns, report) -> (G, name), and prints its file, or writes it to --out and
+reports {command, results: {manifold, written}}.
 """
 
 from __future__ import annotations
@@ -87,61 +94,12 @@ def _emit(obj):
     sys.stdout.write(_dump(obj))
 
 
-class ManifoldFile:
-    """Parsed manifold file: genus, the four blocks, an optional name."""
-
-    __slots__ = ("genus", "R", "P", "S", "Q", "name")
-
-    def __init__(self, genus, R, P, S, Q, name=None):
-        if type(genus) is not int or genus < 1:
-            raise ValidationError(["genus must be a positive integer"])
-        for label, block in (("R", R), ("P", P), ("S", S), ("Q", Q)):
-            if (
-                not isinstance(block, list)
-                or len(block) != genus
-                or any(
-                    not isinstance(row, list)
-                    or len(row) != genus
-                    or any(type(e) is not int for e in row)
-                    for row in block
-                )
-            ):
-                raise ValidationError(
-                    [f"dimension mismatch: block {label} must be a {genus}x{genus} integer array"]
-                )
-        if name is not None and not isinstance(name, str):
-            raise ValidationError(["name must be a string"])
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "R", [list(r) for r in R])
-        object.__setattr__(self, "P", [list(r) for r in P])
-        object.__setattr__(self, "S", [list(r) for r in S])
-        object.__setattr__(self, "Q", [list(r) for r in Q])
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ManifoldFile is immutable")
-
-    def gluing(self) -> GluingData:
-        return GluingData(self.R, self.P, self.S, self.Q)
-
-    def to_obj(self) -> dict:
-        obj = {"genus": self.genus, "R": self.R, "P": self.P, "S": self.S, "Q": self.Q}
-        if self.name is not None:
-            obj["name"] = self.name
-        return obj
-
-    @classmethod
-    def from_gluing(cls, G: GluingData, name=None) -> "ManifoldFile":
-        rows = lambda m: [list(r) for r in m.to_rows()]
-        return cls(G.genus, rows(G.R), rows(G.P), rows(G.S), rows(G.Q), name)
-
-
-def parse_manifold(data: bytes) -> ManifoldFile:
-    """Parse and fully validate manifold bytes.
+def parse_manifold(data: bytes) -> tuple:
+    """Parse and fully validate manifold bytes into (GluingData, name).
 
     Raises ValidationError for malformed JSON, wrong structure, dimension
     mismatch, or violated block relations; the violation list is suitable
-    for a report.
+    for a report.  name is None when the file has none.
     """
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -156,125 +114,139 @@ def parse_manifold(data: bytes) -> ManifoldFile:
     missing = sorted({"genus", "R", "P", "S", "Q"} - set(obj))
     if missing:
         raise ValidationError([f"missing keys: {', '.join(missing)}"])
-    mf = ManifoldFile(obj["genus"], obj["R"], obj["P"], obj["S"], obj["Q"], obj.get("name"))
-    mf.gluing()  # relation check; raises ValidationError with named violations
-    return mf
+    genus, name = obj["genus"], obj.get("name")
+    if type(genus) is not int or genus < 1:
+        raise ValidationError(["genus must be a positive integer"])
+    for label in "RPSQ":
+        block = obj[label]
+        if (
+            not isinstance(block, list)
+            or len(block) != genus
+            or any(
+                not isinstance(row, list)
+                or len(row) != genus
+                or any(type(e) is not int for e in row)
+                for row in block
+            )
+        ):
+            raise ValidationError(
+                [f"dimension mismatch: block {label} must be a {genus}x{genus} integer array"]
+            )
+    if name is not None and not isinstance(name, str):
+        raise ValidationError(["name must be a string"])
+    # relation check; raises ValidationError with named violations
+    return GluingData(obj["R"], obj["P"], obj["S"], obj["Q"]), name
 
 
-def serialize_manifold(mf: ManifoldFile) -> str:
-    return _dump(mf.to_obj())
+def _manifold_obj(G: GluingData, name=None) -> dict:
+    obj = {"genus": G.genus, "R": G.R.to_rows(), "P": G.P.to_rows(), "S": G.S.to_rows(), "Q": G.Q.to_rows()}
+    if name is not None:
+        obj["name"] = name
+    return obj
+
+
+def serialize_manifold(G: GluingData, name=None) -> str:
+    """The manifold file of G, read back by parse_manifold as (G, name)."""
+    return _dump(_manifold_obj(G, name))
 
 
 # --------------------------------------------------------------------------
-# command plumbing
+# runners
 
 
-def _read_bytes(path: str) -> bytes:
+def _load_manifold(path: str, report: dict):
+    """Read, digest, parse and validate one file into (G, name).
+
+    Records input_digest and validation on report; on a validation failure
+    fills report with empty results and aborts with exit 2 to print it.
+    """
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            raw = fh.read()
     except OSError as exc:
         raise _Abort(
             1, stderr_obj={"error": {"type": "io", "message": f"cannot read {path}: {exc}"}}
         ) from exc
-
-
-def _digest(raw: bytes) -> str:
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
-
-
-def _load_manifold(path: str, base: dict):
-    """Read + parse + validate; abort with a violation report on failure."""
-    raw = _read_bytes(path)
-    base["input_digest"] = _digest(raw)
+    report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
-        mf = parse_manifold(raw)
+        G, name = parse_manifold(raw)
     except ValidationError as exc:
-        report = dict(base)
         report["validation"] = {"valid": False, "violations": list(exc.violations)}
         report["results"] = {}
         raise _Abort(2, stdout_obj=report) from exc
-    base["validation"] = {"valid": True, "violations": []}
-    return mf, mf.gluing()
+    report["validation"] = {"valid": True, "violations": []}
+    return G, name
 
 
-def _finish(report: dict, ns, t0: float) -> None:
-    if getattr(ns, "timing", False):
-        report["timing"] = {"seconds": _sig12(time.perf_counter() - t0)}
+def _reporter(compute):
+    """Report command: compute(G, ns) -> results for the file ns.file."""
+
+    def command(ns, argv) -> int:
+        t0 = time.perf_counter()
+        report = {"command": argv}
+        try:
+            G, name = _load_manifold(ns.file, report)
+            report["results"] = compute(G, ns)
+            if name is not None:
+                report["results"]["name"] = name
+        finally:  # a validation failure's report is printed by run()
+            if ns.timing:
+                report["timing"] = {"seconds": _sig12(time.perf_counter() - t0)}
+        _emit(report)
+        if report["results"].get("all_agree") is False:
+            sys.stderr.write(
+                _dump({"error": {"type": "oracle", "message": "oracle disagreement; see report"}})
+            )
+            return 1
+        return 0
+
+    return command
 
 
-def _write_or_print(ns, text: str, report_extra: dict, argv) -> int:
-    if ns.out:
+def _writer(make):
+    """Writer command: make(ns, report) -> (G, name); print its file or write --out."""
+
+    def command(ns, argv) -> int:
+        G, name = make(ns, {"command": argv})
+        text = serialize_manifold(G, name)
+        if not ns.out:
+            sys.stdout.write(text)
+            return 0
         with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _emit({"command": argv, "results": dict(report_extra, written=ns.out)})
-    else:
-        sys.stdout.write(text)
-    return 0
+        _emit({"command": argv, "results": {"manifold": _manifold_obj(G, name), "written": ns.out}})
+        return 0
+
+    return command
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# reports
 
 
-def _cmd_validate(ns, argv) -> int:
-    t0 = time.perf_counter()
-    base = {"command": argv}
-    try:
-        mf, G = _load_manifold(ns.file, base)
-    except _Abort as abort:
-        if abort.stdout_obj is not None and getattr(ns, "timing", False):
-            abort.stdout_obj["timing"] = {"seconds": _sig12(time.perf_counter() - t0)}
-        raise
-    results = {"genus": G.genus, "determinant": determinant(G.matrix)}
-    if mf.name is not None:
-        results["name"] = mf.name
-    report = dict(base, results=results)
-    _finish(report, ns, t0)
-    _emit(report)
-    return 0
+def _validate(G, ns) -> dict:
+    return {"genus": G.genus, "determinant": determinant(G.matrix)}
 
 
-def _cmd_homology(ns, argv) -> int:
-    t0 = time.perf_counter()
-    base = {"command": argv}
-    mf, G = _load_manifold(ns.file, base)
+def _homology(G, ns) -> dict:
     prof = homology_profile(G)
-    results = {
+    return {
         "b1": prof.b1,
         "invariant_factors": list(prof.invariant_factors),
         "torsion_order": prof.torsion_order,
     }
-    if mf.name is not None:
-        results["name"] = mf.name
-    report = dict(base, results=results)
-    _finish(report, ns, t0)
-    _emit(report)
-    return 0
 
 
-def _cmd_linking(ns, argv) -> int:
-    t0 = time.perf_counter()
-    base = {"command": argv}
-    mf, G = _load_manifold(ns.file, base)
+def _linking(G, ns) -> dict:
     lm = linking_matrix(G)
-    results = {
+    return {
         "generator_orders": list(torsion_elements(G).dims),
         "generators": [[_rat(x) for x in gen] for gen in lm.generators],
         "gram": [[str(ph) for ph in row] for row in lm.gram],
     }
-    if mf.name is not None:
-        results["name"] = mf.name
-    report = dict(base, results=results)
-    _finish(report, ns, t0)
-    _emit(report)
-    return 0
 
 
-def _cmd_partition(ns, argv) -> int:
-    t0 = time.perf_counter()
-    base = {"command": argv}
-    mf, G = _load_manifold(ns.file, base)
+def _partition(G, ns) -> dict:
     fn = z_cs if ns.theory == "cs" else z_bf
     S = fn(G, ns.level)
     results = {
@@ -285,68 +257,7 @@ def _cmd_partition(ns, argv) -> int:
     }
     if ns.numeric:
         results["numeric"] = _complex_pair(eval_numeric(S))
-    if mf.name is not None:
-        results["name"] = mf.name
-    report = dict(base, results=results)
-    _finish(report, ns, t0)
-    _emit(report)
-    return 0
-
-
-def _cmd_catalog(ns, argv) -> int:
-    kind = ns.kind
-    if kind == "lens":
-        if len(ns.args) != 2:
-            raise _UsageError("catalog lens requires exactly two integers P and Q")
-        p, q = ns.args
-        G = lens(p, q)
-        name = f"lens({p},{q})"
-    elif kind == "s3":
-        if ns.args:
-            raise _UsageError("catalog s3 takes no arguments")
-        G = lens(1, 0)
-        name = "s3"
-    elif kind == "s1xs2":
-        if ns.args:
-            raise _UsageError("catalog s1xs2 takes no arguments")
-        G = lens(0, 1)
-        name = "s1xs2"
-    else:
-        raise _UsageError(f"unknown catalog entry {kind!r} (choose lens, s3, s1xs2)")
-    mf = ManifoldFile.from_gluing(G, name)
-    return _write_or_print(ns, serialize_manifold(mf), {"manifold": mf.to_obj()}, argv)
-
-
-def _cmd_sum(ns, argv) -> int:
-    base = {"command": argv}
-    mf1, G1 = _load_manifold(ns.file1, base)
-    digest1 = base["input_digest"]
-    mf2, G2 = _load_manifold(ns.file2, base)
-    base["input_digest"] = [digest1, base["input_digest"]]
-    G = connected_sum(G1, G2)
-    name = None
-    if mf1.name is not None and mf2.name is not None:
-        name = f"{mf1.name}#{mf2.name}"
-    mf = ManifoldFile.from_gluing(G, name)
-    return _write_or_print(ns, serialize_manifold(mf), {"manifold": mf.to_obj()}, argv)
-
-
-def _cmd_stabilize(ns, argv) -> int:
-    base = {"command": argv}
-    mf0, G0 = _load_manifold(ns.file, base)
-    mf = ManifoldFile.from_gluing(stabilize(G0), mf0.name)
-    return _write_or_print(ns, serialize_manifold(mf), {"manifold": mf.to_obj()}, argv)
-
-
-def _cmd_random(ns, argv) -> int:
-    if ns.length < 0:
-        raise _UsageError("--length must be nonnegative")
-    if ns.genus < 1:
-        raise _UsageError("--genus must be at least 1")
-    G = random_splitting(ns.genus, ns.seed, ns.length)
-    name = f"random-g{ns.genus}-s{ns.seed}-l{ns.length}"
-    mf = ManifoldFile.from_gluing(G, name)
-    return _write_or_print(ns, serialize_manifold(mf), {"manifold": mf.to_obj()}, argv)
+    return results
 
 
 def _free_pairing_degenerate(G) -> bool:
@@ -384,46 +295,33 @@ def _grid_oracle_with_retries(G, k):
     raise ValueError(f"no alias-free grid size found up to {_GRID_PRIMES[-1]}: {last_exc}")
 
 
-def _cmd_oracle(ns, argv) -> int:
-    t0 = time.perf_counter()
-    base = {"command": argv}
-    mf, G = _load_manifold(ns.file, base)
+def _check(name: str, reference, value: complex, tolerance: float, **extra) -> dict:
+    """One oracle check: value against reference, within tolerance."""
+    dev = abs(value - reference)
+    return dict(
+        extra,
+        name=name,
+        reference=_complex_pair(complex(reference)),
+        value=_complex_pair(value),
+        deviation=_sig12(dev),
+        tolerance=_sig12(tolerance),
+        agrees=dev <= tolerance,
+    )
+
+
+def _oracle(G, ns) -> dict:
     k = ns.level
     prof = homology_profile(G)
-    checks = []
-
     cs_num = eval_numeric(z_cs(G, k))
-
     closed = z_bf_closed_form(G, k)
-    bf_num = eval_numeric(z_bf(G, k))
-    dev = abs(bf_num - closed)
-    tol = 1e-6 * max(1.0, float(closed))
-    checks.append(
-        {
-            "name": "bf_closed_form",
-            "reference": _complex_pair(complex(closed)),
-            "value": _complex_pair(bf_num),
-            "deviation": _sig12(dev),
-            "tolerance": _sig12(tol),
-            "agrees": dev <= tol,
-        }
-    )
+    checks = [
+        _check("bf_closed_form", closed, eval_numeric(z_bf(G, k)), 1e-6 * max(1.0, float(closed)))
+    ]
 
     if G.genus == 1 and G.P[0, 0] != 0:
         p = abs(G.P[0, 0])
         q = G.Q[0, 0] * (1 if G.P[0, 0] > 0 else -1)
-        ref = gauss_sum_oracle(p, q, k)
-        dev = abs(cs_num - ref)
-        checks.append(
-            {
-                "name": "gauss_sum",
-                "reference": _complex_pair(ref),
-                "value": _complex_pair(cs_num),
-                "deviation": _sig12(dev),
-                "tolerance": 1e-9,
-                "agrees": dev <= 1e-9,
-            }
-        )
+        checks.append(_check("gauss_sum", gauss_sum_oracle(p, q, k), cs_num, 1e-9))
 
     if prof.b1 > 3:
         checks.append({"name": "free_mode_grid", "skipped": f"b1 = {prof.b1} exceeds 3"})
@@ -436,38 +334,55 @@ def _cmd_oracle(ns, argv) -> int:
         )
     else:
         grid_n, m_window, grid_val = _grid_oracle_with_retries(G, k)
-        dev = abs(grid_val - cs_num)
         checks.append(
-            {
-                "name": "free_mode_grid",
-                "grid_n": grid_n,
-                "m_window": m_window,
-                "reference": _complex_pair(cs_num),
-                "value": _complex_pair(grid_val),
-                "deviation": _sig12(dev),
-                "tolerance": 1e-6,
-                "agrees": dev <= 1e-6,
-            }
+            _check("free_mode_grid", cs_num, grid_val, 1e-6, grid_n=grid_n, m_window=m_window)
         )
 
-    agreed = all(c.get("agrees", True) for c in checks)
-    results = {
+    return {
         "level": k,
         "checks": checks,
         "max_abs_deviation": _sig12(max((c.get("deviation", 0.0) for c in checks), default=0.0)),
-        "all_agree": agreed,
+        "all_agree": all(c.get("agrees", True) for c in checks),
     }
-    if mf.name is not None:
-        results["name"] = mf.name
-    report = dict(base, results=results)
-    _finish(report, ns, t0)
-    _emit(report)
-    if not agreed:
-        sys.stderr.write(
-            _dump({"error": {"type": "oracle", "message": "oracle disagreement; see report"}})
-        )
-        return 1
-    return 0
+
+
+# --------------------------------------------------------------------------
+# writers
+
+
+def _catalog(ns, report):
+    kind = ns.kind
+    if kind == "lens":
+        if len(ns.args) != 2:
+            raise _UsageError("catalog lens requires exactly two integers P and Q")
+        p, q = ns.args
+        return lens(p, q), f"lens({p},{q})"
+    if kind in ("s3", "s1xs2"):
+        if ns.args:
+            raise _UsageError(f"catalog {kind} takes no arguments")
+        return (lens(1, 0) if kind == "s3" else lens(0, 1)), kind
+    raise _UsageError(f"unknown catalog entry {kind!r} (choose lens, s3, s1xs2)")
+
+
+def _sum(ns, report):
+    G1, name1 = _load_manifold(ns.file1, report)
+    G2, name2 = _load_manifold(ns.file2, report)
+    name = f"{name1}#{name2}" if name1 is not None and name2 is not None else None
+    return connected_sum(G1, G2), name
+
+
+def _stabilize(ns, report):
+    G, name = _load_manifold(ns.file, report)
+    return stabilize(G), name
+
+
+def _random(ns, report):
+    if ns.length < 0:
+        raise _UsageError("--length must be nonnegative")
+    if ns.genus < 1:
+        raise _UsageError("--genus must be at least 1")
+    G = random_splitting(ns.genus, ns.seed, ns.length)
+    return G, f"random-g{ns.genus}-s{ns.seed}-l{ns.length}"
 
 
 # --------------------------------------------------------------------------
@@ -475,64 +390,51 @@ def _cmd_oracle(ns, argv) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="heegaard", description=__doc__)
+    # --help shows the docstring up to the notes on the runners
+    parser = _Parser(prog="heegaard", description=__doc__ and __doc__.split("\n\nTwo runners")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def with_timing(p):
-        p.add_argument("--timing", action="store_true", help="attach wall-clock timing (non-deterministic field)")
+    def arg(*flags, **kw):
+        return flags, kw
 
-    p = sub.add_parser("validate", help="check the six block relations of a manifold file")
-    p.add_argument("file")
-    with_timing(p)
-    p.set_defaults(func=_cmd_validate)
+    def add(name, help, func, *args):
+        p = sub.add_parser(name, help=help)
+        for flags, kw in args:
+            p.add_argument(*flags, **kw)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("homology", help="b1, invariant factors, torsion order")
-    p.add_argument("file")
-    with_timing(p)
-    p.set_defaults(func=_cmd_homology)
+    def report(name, compute, help, *args):
+        timing = arg("--timing", action="store_true", help="attach wall-clock timing (non-deterministic field)")
+        add(name, help, _reporter(compute), arg("file"), *args, timing)
 
-    p = sub.add_parser("linking", help="linking-form gram matrix over the torsion generators")
-    p.add_argument("file")
-    with_timing(p)
-    p.set_defaults(func=_cmd_linking)
+    def writer(name, make, help, *args):
+        add(name, help, _writer(make), *args, arg("--out", default=None))
 
-    p = sub.add_parser("partition", help="exact CS or BF partition sum")
-    p.add_argument("file")
-    p.add_argument("--theory", choices=("cs", "bf"), required=True)
-    p.add_argument("--level", type=int, required=True, metavar="K")
-    p.add_argument("--numeric", action="store_true", help="also evaluate to a complex number")
-    with_timing(p)
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("catalog", help="write a canonical manifold file (lens P Q | s3 | s1xs2)")
-    p.add_argument("kind")
-    p.add_argument("args", nargs="*", type=int)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("sum", help="connected sum of two manifold files")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sum)
-
-    p = sub.add_parser("stabilize", help="stabilize a splitting (connected sum with genus-1 S3)")
-    p.add_argument("file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_stabilize)
-
-    p = sub.add_parser("random", help="seeded random valid splitting")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--length", type=int, required=True, metavar="L")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_random)
-
-    p = sub.add_parser("oracle", help="run the brute-force oracles and report deviations")
-    p.add_argument("file")
-    p.add_argument("--level", type=int, required=True, metavar="K")
-    with_timing(p)
-    p.set_defaults(func=_cmd_oracle)
+    report("validate", _validate, "check the six block relations of a manifold file")
+    report("homology", _homology, "b1, invariant factors, torsion order")
+    report("linking", _linking, "linking-form gram matrix over the torsion generators")
+    report(
+        "partition", _partition, "exact CS or BF partition sum",
+        arg("--theory", choices=("cs", "bf"), required=True),
+        arg("--level", type=int, required=True, metavar="K"),
+        arg("--numeric", action="store_true", help="also evaluate to a complex number"),
+    )
+    writer(
+        "catalog", _catalog, "write a canonical manifold file (lens P Q | s3 | s1xs2)",
+        arg("kind"), arg("args", nargs="*", type=int),
+    )
+    writer("sum", _sum, "connected sum of two manifold files", arg("file1"), arg("file2"))
+    writer("stabilize", _stabilize, "stabilize a splitting (connected sum with genus-1 S3)", arg("file"))
+    writer(
+        "random", _random, "seeded random valid splitting",
+        arg("--genus", type=int, required=True),
+        arg("--seed", type=int, required=True),
+        arg("--length", type=int, required=True, metavar="L"),
+    )
+    report(
+        "oracle", _oracle, "run the brute-force oracles and report deviations",
+        arg("--level", type=int, required=True, metavar="K"),
+    )
 
     return parser
 

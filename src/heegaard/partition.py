@@ -25,9 +25,7 @@ from math import cos, fsum, gcd, lcm, pi, sin
 from .exact import PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile, torsion_elements
 from .linking import gram_integerized, is_nondegenerate, linking_form
-from .splitting import GluingData, per_manifold
-
-_ENUMERATION_LIMIT = 10**6  # largest |T|, d_r or p that a sum here may enumerate
+from .splitting import GluingData, _check_enumerable, per_manifold
 
 
 class PhaseSum:
@@ -180,11 +178,6 @@ def eval_numeric(S: PhaseSum) -> complex:
 def _check_level(k: int):
     if type(k) is not int or k < 1:
         raise ValueError(f"level k must be a positive integer, got {k!r}")
-
-
-def _check_enumerable(what: str, size: int):
-    if size > _ENUMERATION_LIMIT:
-        raise ValueError(f"{what} = {size} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
 
 
 def _diag_quad_counts(dims, gram, L) -> Counter:

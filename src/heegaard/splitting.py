@@ -16,6 +16,14 @@ from typing import Iterable
 
 from .exact import IntMatrix
 
+# largest |T|, d_r or p that a sum may enumerate, and (2g)² a random splitting may build
+_ENUMERATION_LIMIT = 10**6
+
+
+def _check_enumerable(what: str, size: int):
+    if size > _ENUMERATION_LIMIT:
+        raise ValueError(f"{what} = {size} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
+
 
 class ValidationError(ValueError):
     """Rejected gluing blocks; carries the named violations."""
@@ -344,11 +352,14 @@ def random_splitting(genus: int, seed: int, word_length: int) -> GluingData:
     of the 3-sphere; right-multiplying by a symplectic word keeps the
     anti-symplectic property, so every output is valid by construction.
     The result is a deterministic function of (genus, seed, word_length).
+    A genus whose (2g)² matrix entries pass _ENUMERATION_LIMIT raises
+    ValueError before anything is built.
     """
     if genus < 1:
         raise ValueError("genus must be at least 1")
     if word_length < 0:
         raise ValueError("word_length must be nonnegative")
+    _check_enumerable(f"(2g)² at genus {genus}", (2 * genus) ** 2)
     g = genus
     rng = random.Random(f"heegaard:{genus}:{seed}:{word_length}")
     J = intersection_form(g)

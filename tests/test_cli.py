@@ -2,18 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import heegaard
-from heegaard.cli import (
-    ManifoldFile,
-    parse_manifold,
-    run,
-    serialize_manifold,
-)
-from heegaard.splitting import ValidationError, lens, random_splitting
+import heegaard.splitting as splitting
+from heegaard.cli import parse_manifold, run, serialize_manifold
+from heegaard.splitting import GluingData, ValidationError, lens, random_splitting
 from oracle_helpers import minor_gcd_diagonal
 
 
@@ -30,9 +27,8 @@ def capture(capsys):
 @pytest.fixture()
 def lens_file(tmp_path):
     def write(p, q, name=None):
-        mf = ManifoldFile.from_gluing(lens(p, q), name or f"lens({p},{q})")
         path = tmp_path / f"lens_{p}_{q}.json"
-        path.write_text(serialize_manifold(mf))
+        path.write_text(serialize_manifold(lens(p, q), name or f"lens({p},{q})"))
         return str(path)
 
     return write
@@ -42,10 +38,11 @@ def lens_file(tmp_path):
 
 
 def test_manifold_roundtrip():
-    mf = ManifoldFile.from_gluing(random_splitting(2, 3, 6), "probe")
-    again = parse_manifold(serialize_manifold(mf).encode())
-    assert again.to_obj() == mf.to_obj()
-    assert again.gluing() == mf.gluing()
+    G = random_splitting(2, 3, 6)
+    text = serialize_manifold(G, "probe")
+    again = parse_manifold(text.encode())
+    assert serialize_manifold(*again) == text
+    assert again == (G, "probe")
 
 
 def test_parse_rejects_malformed():
@@ -91,11 +88,12 @@ documents = st.fixed_dictionaries(
 @given(st.one_of(documents.map(str.encode), st.binary(max_size=64)))
 def test_parse_manifold_fuzz_only_raises_validation_error(data):
     try:
-        mf = parse_manifold(data)
+        G, name = parse_manifold(data)
     except ValidationError as exc:
         assert exc.violations
     else:
-        assert isinstance(mf, ManifoldFile)
+        assert isinstance(G, GluingData)
+        assert name is None or isinstance(name, str)
 
 
 def run_cli(*argv):
@@ -136,6 +134,17 @@ def test_partition_past_enumeration_limit_exits_1(lens_file):
         assert "enumeration limit" in proc.stderr
 
 
+def test_random_past_enumeration_limit_exits_1(capture):
+    # (2g)² = 4·10¹² matrix entries: refused before any is built
+    t0 = time.perf_counter()
+    code, out, err = capture("random", "--genus", "1000000", "--seed", "0", "--length", "1")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "exceeds the enumeration limit" in error["message"]
+
+
 def test_homology_of_random_genus5_file_finishes(capture, tmp_path):
     # this splitting's P stalled floor-quotient Smith elimination for minutes
     code, text, _ = capture("random", "--genus", "5", "--seed", "5", "--length", "48")
@@ -146,7 +155,7 @@ def test_homology_of_random_genus5_file_finishes(capture, tmp_path):
     assert proc.returncode == 0, proc.stderr
     factors = json.loads(proc.stdout)["results"]["invariant_factors"]
     assert factors == [1848772]
-    P = parse_manifold(text.encode()).gluing().P
+    P = parse_manifold(text.encode())[0].P
     assert [d for d in minor_gcd_diagonal(P.to_rows()) if d > 1] == factors
 
 
@@ -245,12 +254,47 @@ def test_reports_byte_identical(capture, lens_file):
     assert "timing" in json.loads(timed[1])
 
 
+REPORT_ARGS = {
+    "validate": [],
+    "homology": [],
+    "linking": [],
+    "partition": ["--theory", "cs", "--level", "1"],
+    "oracle": ["--level", "1"],
+}
+
+
+def test_reports_validate_each_input_once(capture, monkeypatch, tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_text(serialize_manifold(random_splitting(2, 13, 12)))
+    count = []
+    check = splitting.block_relation_violations
+    monkeypatch.setattr(
+        splitting, "block_relation_violations", lambda *blocks: count.append(1) or check(*blocks)
+    )
+    for cmd, extra in REPORT_ARGS.items():
+        count.clear()
+        code, _, err = capture(cmd, str(path), *extra)
+        assert code == 0, err
+        assert len(count) == 1, cmd
+
+
+def test_timing_only_under_flag_on_every_report(capture, lens_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"genus":1,"R":[[1]],"P":[[0]],"S":[[0]],"Q":[[1]]}')
+    for cmd, extra in REPORT_ARGS.items():
+        for path, want in ((lens_file(5, 1), 0), (str(bad), 2)):
+            code, out, _ = capture(cmd, path, *extra)
+            assert code == want and "timing" not in json.loads(out), cmd
+            code, out, _ = capture(cmd, path, *extra, "--timing")
+            assert code == want and json.loads(out)["timing"]["seconds"] >= 0, cmd
+
+
 def test_catalog_lens_and_named_spaces(capture, tmp_path):
     out_path = tmp_path / "m.json"
     code, out, _ = capture("catalog", "lens", "7", "2", "--out", str(out_path))
     assert code == 0
-    mf = parse_manifold(out_path.read_bytes())
-    assert mf.name == "lens(7,2)"
+    _, name = parse_manifold(out_path.read_bytes())
+    assert name == "lens(7,2)"
     code, out, _ = capture("catalog", "s3")
     assert code == 0 and json.loads(out)["name"] == "s3"
     code, out, _ = capture("catalog", "s1xs2")
@@ -264,22 +308,22 @@ def test_sum_and_stabilize(capture, lens_file, tmp_path):
     out_path = tmp_path / "sum.json"
     code, _, _ = capture("sum", a, b, "--out", str(out_path))
     assert code == 0
-    mf = parse_manifold(out_path.read_bytes())
-    assert mf.genus == 2
-    assert mf.name == "lens(2,1)#lens(3,1)"
+    G, name = parse_manifold(out_path.read_bytes())
+    assert G.genus == 2
+    assert name == "lens(2,1)#lens(3,1)"
     stab_path = tmp_path / "stab.json"
     code, _, _ = capture("stabilize", str(out_path), "--out", str(stab_path))
     assert code == 0
-    assert parse_manifold(stab_path.read_bytes()).genus == 3
+    assert parse_manifold(stab_path.read_bytes())[0].genus == 3
 
 
 def test_random_subcommand_deterministic(capture):
     a = capture("random", "--genus", "2", "--seed", "5", "--length", "8")
     b = capture("random", "--genus", "2", "--seed", "5", "--length", "8")
     assert a == b and a[0] == 0
-    mf = parse_manifold(a[1].encode())
-    assert mf.genus == 2
-    assert mf.name == "random-g2-s5-l8"
+    G, name = parse_manifold(a[1].encode())
+    assert G.genus == 2
+    assert name == "random-g2-s5-l8"
 
 
 def test_oracle_subcommand_agreement(capture, lens_file):
@@ -291,10 +335,18 @@ def test_oracle_subcommand_agreement(capture, lens_file):
     assert {"bf_closed_form", "gauss_sum", "free_mode_grid"} <= names
 
 
+def test_oracle_disagreement_exits_1_with_report(capture, lens_file, monkeypatch):
+    monkeypatch.setattr("heegaard.cli.gauss_sum_oracle", lambda p, q, k: 0j)
+    code, out, err = capture("oracle", lens_file(5, 1), "--level", "1")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+    assert checks["gauss_sum"]["agrees"] is False
+    assert json.loads(err)["error"] == {"type": "oracle", "message": "oracle disagreement; see report"}
+
+
 def test_oracle_subcommand_on_degenerate_pairing(capture, tmp_path):
-    mf = ManifoldFile.from_gluing(random_splitting(2, 0, 6), "degenerate")
     path = tmp_path / "deg.json"
-    path.write_text(serialize_manifold(mf))
+    path.write_text(serialize_manifold(random_splitting(2, 0, 6), "degenerate"))
     code, out, _ = capture("oracle", str(path), "--level", "2")
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}

@@ -25,6 +25,7 @@ from heegaard.partition import (
     z_cs,
 )
 from heegaard.splitting import (
+    _ENUMERATION_LIMIT,
     GluingData,
     blocks_to_matrix,
     connected_sum,
@@ -210,7 +211,7 @@ def test_pipeline_keeps_no_reference_to_the_manifold():
 
 def test_enumeration_limit_raises_instead_of_allocating():
     G = lens(10**9, 1)
-    limit = partition._ENUMERATION_LIMIT
+    limit = _ENUMERATION_LIMIT
     for fn, size in ((z_cs, "|T| = 1000000000"), (z_bf, "d_r = 1000000000")):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(f"{size} exceeds the enumeration limit {limit}")):
@@ -224,7 +225,7 @@ def test_enumeration_limit_raises_instead_of_allocating():
 
 
 def test_oracles_refuse_past_enumeration_limit():
-    limit = partition._ENUMERATION_LIMIT
+    limit = _ENUMERATION_LIMIT
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=re.escape(f"p = {10**7 + 19} exceeds the enumeration limit {limit}")):
         gauss_sum_oracle(10**7 + 19, 1, 1)

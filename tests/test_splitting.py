@@ -1,3 +1,5 @@
+import re
+import time
 from math import gcd
 
 import pytest
@@ -246,3 +248,14 @@ def test_random_splitting_word_length_zero_is_standard():
 @given(splitting_params)
 def test_random_splitting_genus(params):
     assert random_splitting(*params).genus == params[0]
+
+
+def test_random_splitting_refuses_past_enumeration_limit():
+    # genus 500 is the largest whose (2g)² entries fit the limit
+    limit = splitting._ENUMERATION_LIMIT
+    t0 = time.perf_counter()
+    for genus in (501, 10**6):
+        size = (2 * genus) ** 2
+        with pytest.raises(ValueError, match=re.escape(f"{size} exceeds the enumeration limit {limit}")):
+            random_splitting(genus, 0, 1)
+    assert time.perf_counter() - t0 < 0.1
