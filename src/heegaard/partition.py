@@ -3,15 +3,18 @@
 Z_CS,k is the sum of e^{−2πik·Γ(θ,θ)} over the torsion classes of coker P,
 Z_BF,k the double sum over pairs.  Both are returned as PhaseSum values,
 an exact multiset over Q/Z stored as integer numerators over one common
-denominator; turning them into complex numbers is a separate, lossy step
-(eval_numeric), which adds the terms with math.fsum so that equal sums
-give bit-identical floats whatever the order of their bins.
+denominator; turning them into complex numbers is a separate step
+(eval_numeric).  A sum whose multiplicity depends only on gcd(n, L), as
+every Z_BF sum does, evaluates exactly to an integer by Ramanujan sums;
+any other sum adds its terms with math.fsum.  Either way equal sums give
+bit-identical floats whatever the order of their bins.
 
 Z_CS enumerates the torsion classes once per manifold, in integer
 arithmetic modulo the common denominator L of the linking gram, into a
 level-independent histogram of L·Γ(θ,θ); each level k then remaps its
 bins n ↦ −k·n mod L.  Z_BF needs no enumeration: by nondegeneracy of the
-linking form its multiset follows from the invariant factors alone.
+linking form its multiset follows from the invariant factors alone, and
+is written over its reduced denominator by one slice per divisor.
 """
 
 from __future__ import annotations
@@ -158,17 +161,25 @@ class PhaseSum:
 
 
 def eval_numeric(S: PhaseSum) -> complex:
-    """Lossy evaluation to a double-precision complex number.
+    """Evaluation to a double-precision complex number.
 
-    Each bin n/L contributes mult·cos and mult·sin of 2π·(n/L); the real
-    and imaginary parts are each added with math.fsum, which rounds the
-    exact sum once and so does not depend on the order of the bins.
-    Equal PhaseSums therefore give bit-identical floats.
+    A dense sum (every numerator 0 ≤ a < L present) whose multiplicity
+    f(a) depends only on gcd(a, L) is evaluated exactly: the numerators
+    with gcd(a, L) = e add up to the Ramanujan sum c_{L/e}(1) = μ(L/e), so
+    the value is the integer Σ_{e | L} f(e)·μ(L/e).  Z_BF sums always
+    take this path.  Every other sum adds mult·cos and mult·sin of
+    2π·(n/L) over its bins with math.fsum, which rounds the exact sum
+    once and so does not depend on the order of the bins; this path is
+    lossy.  Which path is taken depends on (L, bins) alone, so equal
+    PhaseSums give bit-identical floats.
     """
     L = S._den
+    counts = S._counts
+    if len(counts) == L and (exact := _gcd_class_sum(L, counts)) is not None:
+        return complex(exact, 0.0)
     re = []
     im = []
-    for n, mult in S._counts.items():
+    for n, mult in counts.items():
         ang = 2.0 * pi * (n / L)
         re.append(mult * cos(ang))
         im.append(mult * sin(ang))
@@ -248,31 +259,94 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
+def _prime_factors(n: int) -> list:
+    """Distinct primes dividing n, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _mobius(n: int, primes) -> int:
+    """μ(n) for an n whose prime factors are all among primes."""
+    sign = 1
+    for p in primes:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+def _gcd_class_fill(L: int, divisors, value) -> list:
+    """The list a ↦ value(gcd(a, L)) over 0 ≤ a < L, by slice writes.
+
+    One write per divisor e, in increasing order, covers the multiples of
+    e; each a is written last by the largest divisor it is a multiple of,
+    which is gcd(a, L).  Cost σ(L) element writes.
+    """
+    arr = [0] * L
+    for e in divisors:
+        arr[::e] = [value(e)] * (L // e)
+    return arr
+
+
+def _gcd_class_sum(L: int, counts: dict):
+    """Σ_a counts[a]·e^{2πi·a/L} as an exact integer, or None.
+
+    counts holds every 0 ≤ a < L.  If counts[a] = f(gcd(a, L)), the class
+    gcd(a, L) = e contributes f(e)·μ(L/e) (a Ramanujan sum) and the total
+    is returned; otherwise None.
+    """
+    arr = [counts[a] for a in range(L)]
+    divisors = _divisors(L)
+    if _gcd_class_fill(L, divisors, lambda e: arr[e % L]) != arr:
+        return None
+    primes = _prime_factors(L)
+    return sum(arr[e % L] * _mobius(L // e, primes) for e in divisors)
+
+
 def z_bf(G: GluingData, k: int) -> PhaseSum:
     """Exact BF partition sum: one term −k·Γ(θ,ϑ) per ordered torsion pair.
 
     Computed from the invariant factors d_1 | … | d_r alone.  Γ is
     nondegenerate, so for fixed θ the map ϑ ↦ −k·Γ(θ,ϑ) is a character of
-    order n = ord(kθ) and hits each phase j/n exactly |T|/n times.  The
-    number of θ with ord(kθ) dividing n is Π gcd(nk, d_i); peeling off the
-    counts of proper divisors, in increasing order, leaves the number with
-    ord(kθ) = n.  A reduced phase a/b then has multiplicity
-    Σ_{b | n | d_r} #{ord(kθ) = n}·|T|/n, given to each numerator a over d_r
-    with b = d_r/gcd(a, d_r).  Cost O(#divisors(d_r)² + d_r).
+    order n = ord(kθ) and hits each phase j/n exactly |T|/n times.  Every
+    such n divides L = d_r/gcd(k, d_r), the exponent of kT, and n = L
+    occurs, so the sum is dense over L.  The number of θ with ord(kθ)
+    dividing n is Π gcd(nk, d_i); peeling off the counts of proper
+    divisors, in increasing order, leaves the number with ord(kθ) = n.
+    The numerator a over L then has multiplicity
+    Σ_{b | n | L} #{ord(kθ) = n}·|T|/n with b = L/gcd(a, L), which
+    _gcd_class_fill writes in O(σ(L)) slice writes.  Cost
+    O(#divisors(L)² + σ(L)).
     """
     _check_level(k)
     T = torsion_elements(G)
     top = T.dims[-1] if T.dims else 1
     _check_enumerable("d_r", top)
-    divisors = _divisors(top)
+    L = top // gcd(k, top)
+    divisors = _divisors(L)
     by_order = {}  # n -> #{θ : ord(kθ) = n}
     for n in divisors:
         by_order[n] = T.kernel_count(n * k) - sum(
             c for m, c in by_order.items() if n % m == 0
         )
-    mult = {b: sum(c * len(T) // n for n, c in by_order.items() if n % b == 0) for b in divisors}
-    counts = {a: m for a in range(top) if (m := mult[top // gcd(a, top)])}
-    return PhaseSum._from_counts(top, counts)
+    size = len(T)
+
+    def mult(e):  # multiplicity of the numerators a with gcd(a, L) = e
+        b = L // e
+        return sum(c * size // n for n, c in by_order.items() if n % b == 0)
+
+    return PhaseSum._from_counts(L, dict(enumerate(_gcd_class_fill(L, divisors, mult))))
 
 
 def z_bf_closed_form(G: GluingData, k: int) -> int:

@@ -8,7 +8,7 @@ shared helpers.  Slow on purpose; only run on small inputs.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import cos, fsum, gcd, lcm, pi, sin
 
 
 def det_laplace(rows):
@@ -212,3 +212,18 @@ def radical_order_scan(dims, gram_num, L):
         for a in product(*(range(d) for d in dims))
         if all(sum(a[i] * gram_num[i][j] for i in range(r)) % L == 0 for j in range(r))
     )
+
+
+def fsum_phase_value(den, counts):
+    """Σ mult·e^{2πi·n/den} over {n: mult}, as the plain cos/sin loop.
+
+    Real and imaginary parts are each added with math.fsum, so the float
+    is the correctly rounded sum of the rounded terms, in any bin order.
+    """
+    re = []
+    im = []
+    for n, mult in counts.items():
+        ang = 2.0 * pi * (n / den)
+        re.append(mult * cos(ang))
+        im.append(mult * sin(ang))
+    return complex(fsum(re), fsum(im))

@@ -278,6 +278,21 @@ def test_reports_validate_each_input_once(capture, monkeypatch, tmp_path):
         assert len(count) == 1, cmd
 
 
+def test_writers_validate_each_input_once(capture, monkeypatch, tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_text(serialize_manifold(random_splitting(2, 13, 12)))
+    count = []
+    check = splitting.block_relation_violations
+    monkeypatch.setattr(
+        splitting, "block_relation_violations", lambda *blocks: count.append(1) or check(*blocks)
+    )
+    for argv, validations in ((("sum", str(path), str(path)), 2), (("stabilize", str(path)), 1)):
+        count.clear()
+        code, _, err = capture(*argv)
+        assert code == 0, err
+        assert len(count) == validations, argv
+
+
 def test_timing_only_under_flag_on_every_report(capture, lens_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"genus":1,"R":[[1]],"P":[[0]],"S":[[0]],"Q":[[1]]}')

@@ -33,7 +33,7 @@ from heegaard.splitting import (
     matrix_to_blocks,
     random_splitting,
 )
-from oracle_helpers import bf_pair_histogram
+from oracle_helpers import bf_pair_histogram, fsum_phase_value
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 120), st.sampled_from([0, 3, 6, 10])
@@ -291,6 +291,46 @@ def test_z_bf_matches_pair_oracle_random(params, k):
     if homology_profile(G).torsion_order > 300:
         return
     assert_z_bf_matches_pair_oracle(G, k)
+
+
+def assert_z_bf_dense_and_exact(G, levels):
+    top = max(homology_profile(G).invariant_factors, default=1)
+    for k in levels:
+        S = z_bf(G, k)
+        assert S._den == top // gcd(k, top)
+        assert len(S) == S._den
+        assert eval_numeric(S) == complex(z_bf_closed_form(G, k), 0)
+
+
+def test_z_bf_dense_and_exact_on_lens_spaces():
+    for p in range(1, 31):
+        for q in range(-p + 1, p):
+            if gcd(p, q) == 1:
+                assert_z_bf_dense_and_exact(lens(p, q), (1, 2, 3, 6))
+
+
+def test_z_bf_dense_and_exact_on_corpus(corpus):
+    small = [G for G in corpus if homology_profile(G).torsion_order <= 600]
+    assert small
+    for G in small:
+        assert_z_bf_dense_and_exact(G, (1, 2, 3, 6))
+
+
+@given(st.integers(1, 3000), st.data())
+def test_eval_numeric_exact_on_gcd_class_sums(L, data):
+    f = {e: data.draw(st.integers(1, 5)) for e in range(1, L + 1) if L % e == 0}
+    counts = {a: f[gcd(a, L)] for a in range(L)}
+    S = PhaseSum({Fraction(a, L): m for a, m in counts.items()})
+    value = eval_numeric(S)
+    assert value.imag == 0.0 and value.real == int(value.real)
+    direct = sum(cmath.exp(2j * pi * a / L) for a, m in counts.items() for _ in range(m))
+    assert abs(value - direct) <= 1e-12 * max(1, S.total_terms)
+    if L >= 3:
+        # one more term on a numerator whose gcd class has other members
+        a = data.draw(st.sampled_from([a for a in range(L) if L // gcd(a, L) > 2]))
+        counts[a] += 1
+        broken = PhaseSum({Fraction(n, L): m for n, m in counts.items()})
+        assert repr(eval_numeric(broken)) == repr(fsum_phase_value(L, counts))
 
 
 # ------------------------------------------------------------------ oracles

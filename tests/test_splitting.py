@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from math import gcd
@@ -218,6 +219,14 @@ def test_connected_sum_valid(a, b):
     assert not block_relation_violations(r, p, s, q)
 
 
+def test_connected_sum_of_valid_inputs_passes_validation(corpus):
+    lenses = [lens(p, q) for p, q in ((1, 0), (0, 1), (2, 1), (5, 2), (7, -3), (12, 5))]
+    parts = corpus[:12] + lenses + [stabilize(G) for G in corpus[:4] + lenses]
+    for a, b in zip(parts, parts[1:] + parts[:1]):
+        for G in (connected_sum(a, b), connected_sum(a, a), stabilize(a)):
+            assert not block_relation_violations(G.R, G.P, G.S, G.Q)
+
+
 def test_stabilize_adds_trivial_handle():
     G = lens(7, 2)
     S = stabilize(G)
@@ -243,6 +252,30 @@ def test_random_splitting_word_length_zero_is_standard():
     z = IntMatrix.zeros(3, 3)
     i = IntMatrix.identity(3)
     assert (G.R, G.P, G.S, G.Q) == (z, i, i, z)
+
+
+def literal_word_blocks(genus, seed, word_length):
+    """random_splitting's recipe with each transvection as a full 2g × 2g product."""
+    n = 2 * genus
+    rng = random.Random(f"heegaard:{genus}:{seed}:{word_length}")
+    J = intersection_form(genus)
+    vecs = splitting._transvection_vectors(genus)
+    W = IntMatrix.identity(n)
+    for _ in range(word_length):
+        v = vecs[rng.randrange(len(vecs))]
+        c = rng.choice((1, -1))
+        col = IntMatrix(n, 1, v)
+        W = W @ (IntMatrix.identity(n) + (col @ (col.transpose() @ J)).scale(c))
+    z, i = IntMatrix.zeros(genus, genus), IntMatrix.identity(genus)
+    return matrix_to_blocks(blocks_to_matrix(z, i, i, z) @ W)
+
+
+def test_random_splitting_matches_literal_word_product():
+    for genus in range(1, 7):
+        for seed in range(21):
+            for length in (0, 4, 12, 44):
+                G = random_splitting(genus, seed, length)
+                assert (G.R, G.P, G.S, G.Q) == literal_word_blocks(genus, seed, length)
 
 
 @given(splitting_params)
