@@ -26,12 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exact import IntMatrix, determinant, vec_dot
-from .homology import (
-    curvature_lattice_basis,
-    free_flat_basis,
-    homology_profile,
-    torsion_elements,
-)
+from .homology import curvature_lattice_basis, free_flat_basis, homology_profile
 from .linking import linking_matrix
 from .partition import (
     eval_numeric,
@@ -240,7 +235,7 @@ def _homology(G, ns) -> dict:
 def _linking(G, ns) -> dict:
     lm = linking_matrix(G)
     return {
-        "generator_orders": list(torsion_elements(G).dims),
+        "generator_orders": list(homology_profile(G).invariant_factors),
         "generators": [[_rat(x) for x in gen] for gen in lm.generators],
         "gram": [[str(ph) for ph in row] for row in lm.gram],
     }

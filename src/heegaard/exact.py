@@ -8,6 +8,7 @@ in Q/Z with a canonical reduced representative in [0, 1).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, index, mul, sub
 from typing import Iterable, Sequence
 
 # Exact rational scalar used throughout the package.  Always stored in
@@ -34,21 +35,35 @@ class IntMatrix:
 
     Supports the small exact-linear-algebra vocabulary the rest of the
     package needs: products, transpose, application to rational vectors.
+    The public constructors check their entries with operator.index, so
+    an int or bool is taken and a float, Fraction or Decimal is refused
+    with TypeError rather than truncated.  Results built inside this
+    module from entries that are already ints go through the trusted _of.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        ent = tuple(int(e) for e in entries)
+        ent = tuple(map(index, entries))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(ent) != rows * cols:
             raise ValueError(
                 f"entry count {len(ent)} does not equal rows*cols = {rows * cols}"
             )
+        self._set(rows, cols, ent)
+
+    def _set(self, rows, cols, entries):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """Trusted constructor: entries is a tuple of rows*cols ints."""
+        self = object.__new__(cls)
+        self._set(rows, cols, entries)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -61,12 +76,12 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
         """Build from an iterable of equal-length row iterables."""
-        mat = [tuple(int(e) for e in row) for row in rows]
+        mat = [tuple(map(index, row)) for row in rows]
         m = len(mat)
         n = len(mat[0]) if mat else 0
         if any(len(r) != n for r in mat):
             raise ValueError("ragged rows")
-        return cls(m, n, [e for row in mat for e in row])
+        return cls._of(m, n, tuple(e for row in mat for e in row))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -88,7 +103,7 @@ class IntMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> tuple:
         return tuple(self.row(i) for i in range(self.rows))
@@ -100,36 +115,32 @@ class IntMatrix:
     # ----- algebra ------------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
+        return IntMatrix._of(
+            self.cols, self.rows, tuple(e for j in range(self.cols) for e in self.col(j))
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        a, b = self.entries, other.entries
-        n, p = self.cols, other.cols
-        out = []
-        for i in range(self.rows):
-            base = i * n
-            for j in range(p):
-                out.append(sum(a[base + k] * b[k * p + j] for k in range(n)))
-        return IntMatrix(self.rows, p, out)
+        cols = [other.col(j) for j in range(other.cols)]
+        return IntMatrix._of(
+            self.rows,
+            other.cols,
+            tuple(sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols),
+        )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return IntMatrix._of(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} - {other.shape}")
-        return IntMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return IntMatrix._of(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return IntMatrix._of(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [c * a for a in self.entries])
@@ -263,7 +274,7 @@ class SmithDecomposition:
     @property
     def diagonal(self) -> tuple:
         d = self.D
-        return tuple(d[i, i] for i in range(min(d.rows, d.cols)))
+        return d.entries[:: d.cols + 1][: min(d.rows, d.cols)]
 
     @property
     def rank(self) -> int:
@@ -350,11 +361,14 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             work[t] = [-e for e in work[t]]
             ut[t] = [-e for e in ut[t]]
 
+    def flat(rows):
+        return tuple(e for row in rows for e in row)
+
     return SmithDecomposition(
-        IntMatrix(m, m, [e for row in ut for e in row]).transpose(),
-        IntMatrix(m, n, [e for row in work for e in row]),
-        IntMatrix(n, n, [e for row in v for e in row]),
-        IntMatrix(n, n, [e for row in vit for e in row]).transpose(),
+        IntMatrix._of(m, m, flat(zip(*ut))),
+        IntMatrix._of(m, n, flat(work)),
+        IntMatrix._of(n, n, flat(v)),
+        IntMatrix._of(n, n, flat(zip(*vit))),
     )
 
 

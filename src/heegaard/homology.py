@@ -39,6 +39,10 @@ class HomologyProfile:
     def __hash__(self) -> int:
         return hash((self.b1, self.invariant_factors))
 
+    def kernel_count(self, k: int) -> int:
+        """|{theta in T : k.theta = 0}| = prod of gcd(k, d_i), the k-torsion count."""
+        return prod((gcd(k, d) for d in self.invariant_factors), start=1)
+
     def __repr__(self) -> str:
         return (
             f"HomologyProfile(b1={self.b1}, invariant_factors="
@@ -103,7 +107,7 @@ class TorsionElements(Sequence):
     """
 
     def __init__(self, G: GluingData):
-        profile = homology_profile(G)
+        self._profile = profile = homology_profile(G)
         snf = profile.snf_of_P
         diag = snf.diagonal
         self._dims = profile.invariant_factors
@@ -178,7 +182,7 @@ class TorsionElements(Sequence):
 
     def kernel_count(self, k: int) -> int:
         """|{theta : k.theta = identity}|, the k-torsion count."""
-        return prod((gcd(k, d) for d in self._dims), start=1)
+        return self._profile.kernel_count(k)
 
 
 def torsion_elements(G: GluingData) -> TorsionElements:

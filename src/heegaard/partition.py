@@ -14,7 +14,8 @@ arithmetic modulo the common denominator L of the linking gram, into a
 level-independent histogram of L·Γ(θ,θ); each level k then remaps its
 bins n ↦ −k·n mod L.  Z_BF needs no enumeration: by nondegeneracy of the
 linking form its multiset follows from the invariant factors alone, and
-is written over its reduced denominator by one slice per divisor.
+is written over its reduced denominator by one slice per divisor, once
+per manifold for each class of levels with the same gcd(k, d_r).
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ class PhaseSum:
     for the empty sum) and zero multiplicities are dropped, so equality of
     PhaseSum values is equality of the formal sums.  PhaseQ and Fraction
     objects are built only at the edges: the constructors, items,
-    to_mapping and repr.
+    to_mapping and repr.  The value eval_numeric computes is kept in a
+    slot outside equality, hash and pickling.
     """
 
-    __slots__ = ("_den", "_counts")
+    __slots__ = ("_den", "_counts", "_numeric")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -62,6 +64,7 @@ class PhaseSum:
     def _set(self, den, counts):
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_numeric", None)  # eval_numeric's value, once computed
 
     @classmethod
     def _from_counts(cls, den: int, counts: dict) -> "PhaseSum":
@@ -171,10 +174,18 @@ def eval_numeric(S: PhaseSum) -> complex:
     2π·(n/L) over its bins with math.fsum, which rounds the exact sum
     once and so does not depend on the order of the bins; this path is
     lossy.  Which path is taken depends on (L, bins) alone, so equal
-    PhaseSums give bit-identical floats.
+    PhaseSums give bit-identical floats.  The value is computed once per
+    PhaseSum instance and kept on it.
     """
-    L = S._den
-    counts = S._counts
+    value = S._numeric
+    if value is None:
+        value = _evaluate(S._den, S._counts)
+        object.__setattr__(S, "_numeric", value)
+    return value
+
+
+def _evaluate(L: int, counts: dict) -> complex:
+    """eval_numeric's value of the sum with these bins over L."""
     if len(counts) == L and (exact := _gcd_class_sum(L, counts)) is not None:
         return complex(exact, 0.0)
     re = []
@@ -219,12 +230,12 @@ def _diag_quad_counts(dims, gram, L) -> Counter:
 @per_manifold
 def _cs_histogram(G: GluingData) -> PhaseSum:
     """PhaseSum of Γ(θ,θ) over the torsion classes, every level's source."""
-    T = torsion_elements(G)
-    if not T.dims:
+    profile = homology_profile(G)
+    if not profile.invariant_factors:
         return PhaseSum._from_counts(1, {0: 1})
-    _check_enumerable("|T|", len(T))
+    _check_enumerable("|T|", profile.torsion_order)
     L, gram = gram_integerized(G)
-    return PhaseSum._from_counts(L, _diag_quad_counts(T.dims, gram, L))
+    return PhaseSum._from_counts(L, _diag_quad_counts(profile.invariant_factors, gram, L))
 
 
 def z_cs(G: GluingData, k: int) -> PhaseSum:
@@ -317,30 +328,46 @@ def _gcd_class_sum(L: int, counts: dict):
 def z_bf(G: GluingData, k: int) -> PhaseSum:
     """Exact BF partition sum: one term −k·Γ(θ,ϑ) per ordered torsion pair.
 
-    Computed from the invariant factors d_1 | … | d_r alone.  Γ is
-    nondegenerate, so for fixed θ the map ϑ ↦ −k·Γ(θ,ϑ) is a character of
-    order n = ord(kθ) and hits each phase j/n exactly |T|/n times.  Every
-    such n divides L = d_r/gcd(k, d_r), the exponent of kT, and n = L
-    occurs, so the sum is dense over L.  The number of θ with ord(kθ)
-    dividing n is Π gcd(nk, d_i); peeling off the counts of proper
-    divisors, in increasing order, leaves the number with ord(kθ) = n.
-    The numerator a over L then has multiplicity
+    Depends on k only through g = gcd(k, d_r): writing k = g·u, u is a
+    unit modulo d_r/g, so kθ and gθ have the same order for every θ and
+    the sums at k and at g are equal.  The level is checked, and d_r
+    against the enumeration limit, before anything is looked up; the sum
+    of class g is then built once per manifold (_z_bf_class) and every
+    level of the class returns that same object.  G keeps at most one
+    sum per divisor of d_r, σ(d_r) bins in all, and frees them with G.
+    """
+    _check_level(k)
+    dims = homology_profile(G).invariant_factors
+    top = dims[-1] if dims else 1
+    _check_enumerable("d_r", top)
+    return _z_bf_class(G, gcd(k, top))
+
+
+@per_manifold
+def _z_bf_class(G: GluingData, k: int) -> PhaseSum:
+    """Z_BF at a level k that divides d_r, from the invariant factors alone.
+
+    Γ is nondegenerate, so for fixed θ the map ϑ ↦ −k·Γ(θ,ϑ) is a
+    character of order n = ord(kθ) and hits each phase j/n exactly |T|/n
+    times.  Every such n divides L = d_r/k, the exponent of kT, and
+    n = L occurs, so the sum is dense over L.  The number of θ with
+    ord(kθ) dividing n is Π gcd(nk, d_i); peeling off the counts of
+    proper divisors, in increasing order, leaves the number with
+    ord(kθ) = n.  The numerator a over L then has multiplicity
     Σ_{b | n | L} #{ord(kθ) = n}·|T|/n with b = L/gcd(a, L), which
     _gcd_class_fill writes in O(σ(L)) slice writes.  Cost
     O(#divisors(L)² + σ(L)).
     """
-    _check_level(k)
-    T = torsion_elements(G)
-    top = T.dims[-1] if T.dims else 1
-    _check_enumerable("d_r", top)
-    L = top // gcd(k, top)
+    profile = homology_profile(G)
+    dims = profile.invariant_factors
+    L = (dims[-1] if dims else 1) // k
     divisors = _divisors(L)
     by_order = {}  # n -> #{θ : ord(kθ) = n}
     for n in divisors:
-        by_order[n] = T.kernel_count(n * k) - sum(
+        by_order[n] = profile.kernel_count(n * k) - sum(
             c for m, c in by_order.items() if n % m == 0
         )
-    size = len(T)
+    size = profile.torsion_order
 
     def mult(e):  # multiplicity of the numerators a with gcd(a, L) = e
         b = L // e
@@ -359,8 +386,8 @@ def z_bf_closed_form(G: GluingData, k: int) -> int:
     _check_level(k)
     if not is_nondegenerate(G):
         raise ValueError("linking form is degenerate; the closed form does not apply")
-    T = torsion_elements(G)
-    return len(T) * T.kernel_count(k)
+    profile = homology_profile(G)
+    return profile.torsion_order * profile.kernel_count(k)
 
 
 def gauss_sum_oracle(p: int, q: int, k: int) -> complex:

@@ -170,12 +170,20 @@ class GluingData:
 
 
 def per_manifold(fn):
-    """Compute fn(G) once per GluingData instance and keep it on G."""
+    """Compute fn(G, *args) once per GluingData instance and keep it on G.
+
+    The value is stored in G._memo under (fn, *args), so a function of
+    the manifold alone keeps one value and a function of, say, a level
+    keeps one per distinct argument tuple; the arguments must be hashable
+    and should hold no reference to G.  Everything kept is freed with G.
+    """
     @wraps(fn)
-    def memoized(G: GluingData):
-        if fn not in G._memo:
-            G._memo[fn] = fn(G)
-        return G._memo[fn]
+    def memoized(G: GluingData, *args):
+        key = (fn, *args)
+        value = G._memo.get(key, memoized)  # memoized itself marks a miss
+        if value is memoized:
+            value = G._memo[key] = fn(G, *args)
+        return value
     return memoized
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,20 @@ def test_matrix_construction_and_access():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, Fraction(7, 2), Fraction(4, 1), Decimal("2.5")])
+def test_matrix_refuses_non_integer_entries(bad):
+    with pytest.raises(TypeError):
+        IntMatrix(1, 2, [bad, 2])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1, bad]])
+
+
+def test_matrix_takes_int_and_bool_entries_as_int():
+    for m in (IntMatrix(1, 3, [True, False, 10**40]), IntMatrix.from_rows([[True, False, 10**40]])):
+        assert m.entries == (1, 0, 10**40)
+        assert all(type(e) is int for e in m.entries)
 
 
 def test_matrix_is_immutable_and_hashable():

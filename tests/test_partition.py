@@ -203,9 +203,9 @@ def test_pipeline_keeps_no_reference_to_the_manifold():
     torsion_elements(G)
     linking_matrix(G)
     is_nondegenerate(G)
-    for k in (1, 2, 3):
-        z_cs(G, k)
-        z_bf(G, k)
+    for k in range(1, 7):
+        eval_numeric(z_cs(G, k))
+        eval_numeric(z_bf(G, k))
     assert sys.getrefcount(G) == before
 
 
@@ -269,19 +269,21 @@ def test_z_bf_matches_closed_form(params, k):
 
 
 def test_z_bf_matches_pair_oracle_on_lens_spaces():
+    # one instance per manifold, so later levels of a gcd class are memo hits
     for p in range(1, 31):
         for q in range(-p + 1, p):
             if gcd(p, q) != 1:
                 continue
-            for k in range(1, 6):
-                assert_z_bf_matches_pair_oracle(lens(p, q), k)
+            G = lens(p, q)
+            for k in (*range(1, 13), p, p + 1, 2 * p + 3):
+                assert_z_bf_matches_pair_oracle(G, k)
 
 
 def test_z_bf_matches_pair_oracle_on_corpus(corpus):
     small = [G for G in corpus if homology_profile(G).torsion_order <= 600]
     assert small
     for G in small:
-        for k in (1, 2, 3, 6):
+        for k in range(1, 13):
             assert_z_bf_matches_pair_oracle(G, k)
 
 
@@ -291,6 +293,45 @@ def test_z_bf_matches_pair_oracle_random(params, k):
     if homology_profile(G).torsion_order > 300:
         return
     assert_z_bf_matches_pair_oracle(G, k)
+
+
+def test_z_bf_returns_one_object_per_gcd_class(corpus):
+    for G in [lens(60, 7), lens(1, 0), *corpus[:10]]:
+        top = max(homology_profile(G).invariant_factors, default=1)
+        for k in range(1, 2 * top + 2):
+            assert z_bf(G, k) is z_bf(G, gcd(k, top))
+
+
+def test_z_bf_builds_each_gcd_class_once_per_manifold(monkeypatch):
+    calls = []
+    fill = partition._gcd_class_fill
+
+    def counting(L, *args):
+        calls.append(L)
+        return fill(L, *args)
+
+    monkeypatch.setattr(partition, "_gcd_class_fill", counting)
+    G = lens(60, 7)
+    sums = [z_bf(G, k) for k in range(1, 61)]
+    # one build per divisor g of 60, over its reduced denominator 60 / g
+    assert sorted(calls) == [d for d in range(1, 61) if 60 % d == 0]
+    assert len(calls) == 12
+    again = GluingData(G.R, G.P, G.S, G.Q)
+    assert [z_bf(again, k) for k in range(1, 61)] == sums
+    assert len(calls) == 24
+
+
+def test_eval_numeric_identical_on_equal_sums_built_apart():
+    # one sum on the fsum path, one on the exact gcd-class path
+    for make in (lambda: z_cs(lens(23, 7), 3), lambda: z_bf(lens(60, 7), 4)):
+        S = make()
+        value = repr(eval_numeric(S))
+        assert eval_numeric(S) is eval_numeric(S)
+        clone = pickle.loads(pickle.dumps(S))
+        assert clone._numeric is None
+        for other in (make(), clone, copy.copy(S), copy.deepcopy(S)):
+            assert other is not S and other == S and hash(other) == hash(S)
+            assert repr(eval_numeric(other)) == value
 
 
 def assert_z_bf_dense_and_exact(G, levels):

@@ -1,6 +1,8 @@
 import random
 import re
 import time
+from decimal import Decimal
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -64,6 +66,16 @@ def test_dimension_mismatch_rejected():
         validate([[0, 0]], [[1]], [[1]], [[0]])
     with pytest.raises(ValidationError):
         validate([[0, 0], [0, 0]], [[1]], [[1]], [[0]])
+
+
+@pytest.mark.parametrize("bad", [2.4, Fraction(7, 2), Decimal("2.5")])
+def test_non_integer_blocks_rejected(bad):
+    # truncating 2.4, 5.9, 1.3, 2.99 would give the valid blocks of L(5, 2)
+    assert validate([[2]], [[5]], [[1]], [[2]]) == lens(5, 2)
+    with pytest.raises(ValidationError, match="block R is not an integer matrix"):
+        validate([[bad]], [[5.9]], [[1.3]], [[2.99]])
+    with pytest.raises(ValidationError, match="block P is not an integer matrix"):
+        validate([[2]], [[bad]], [[1]], [[3]])
 
 
 def test_genus_zero_rejected():
