@@ -235,7 +235,7 @@ def _homology(G, ns) -> dict:
 def _linking(G, ns) -> dict:
     lm = linking_matrix(G)
     return {
-        "generator_orders": list(homology_profile(G).invariant_factors),
+        "generator_orders": list(lm.dims),
         "generators": [[_rat(x) for x in gen] for gen in lm.generators],
         "gram": [[str(ph) for ph in row] for row in lm.gram],
     }

@@ -182,18 +182,16 @@ class PhaseQ:
     lets phase multisets deduplicate reliably.
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
 
     def __init__(self, value: int | Fraction = 0):
         object.__setattr__(self, "value", frac_mod1(value))
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _wrap(cls, reduced: Fraction) -> "PhaseQ":
         # fast path for callers that guarantee 0 <= reduced < 1
         self = object.__new__(cls)
         object.__setattr__(self, "value", reduced)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name, value):
@@ -238,11 +236,7 @@ class PhaseQ:
     def __hash__(self) -> int:
         # hash((num, den)) is much cheaper than Fraction.__hash__ and only
         # needs to be consistent with __eq__, which admits PhaseQ alone
-        h = self._hash
-        if h is None:
-            h = hash((self.value.numerator, self.value.denominator))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.value.numerator, self.value.denominator))
 
     def __repr__(self) -> str:
         return f"PhaseQ({self.value})"

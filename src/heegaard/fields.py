@@ -9,6 +9,7 @@ plus one rational self-pairing scalar.  Actions land in Q/Z and are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .exact import PhaseQ, RationalQ, vec_dot
 from .homology import TorsionRep
@@ -36,7 +37,7 @@ class FiniteDBClass:
         smooth_self: RationalQ = 0,
     ):
         g = G.genus
-        m = tuple(int(x) for x in (m if m is not None else [0] * g))
+        m = tuple(map(index, m if m is not None else [0] * g))
         theta_f = tuple(Fraction(x) for x in (theta_f if theta_f is not None else [0] * g))
         holonomy = tuple(Fraction(x) for x in (holonomy if holonomy is not None else [0] * g))
         if theta_t is None:
@@ -193,7 +194,7 @@ def zero_mode_shift(G: GluingData, A: FiniteDBClass, u, k: int) -> FiniteDBClass
     """
     _check_level(k)
     _check_consistent(G, A, "A")
-    u = tuple(int(x) for x in u)
+    u = tuple(map(index, u))
     if len(u) != G.genus:
         raise ValueError(f"u has length {len(u)}, expected {G.genus}")
     if any(x != 0 for x in G.P.apply(u)):

@@ -11,18 +11,32 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .exact import IntMatrix, PhaseQ, smith_normal_form, vec_dot
-from .homology import homology_profile, torsion_elements
+from .homology import TorsionRep, homology_profile
 from .splitting import GluingData, per_manifold
 
 
 class LinkingMatrix:
-    """Gram matrix of the linking form over the SNF torsion generators."""
+    """The torsion linking form of one manifold over its SNF generators.
 
-    __slots__ = ("generators", "gram")
+    dims holds the invariant factors d_1 | ... | d_r and generators the
+    canonical representative of each unit multi-index.  The form is kept
+    as integers: den is the lcm of the entries' reduced denominators (1
+    when r = 0) and num[i][j], with 0 <= num[i][j] < den, is
+    den * Gamma(gen_i, gen_j), so sums over the group can run in integer
+    arithmetic mod den.  gram holds the same entries as PhaseQ.
+    """
 
-    def __init__(self, generators, gram):
+    __slots__ = ("dims", "den", "num", "generators", "gram")
+
+    def __init__(self, dims, den: int, num, generators):
+        num = tuple(tuple(row) for row in num)
+        object.__setattr__(self, "dims", tuple(dims))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", num)
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
+        object.__setattr__(
+            self, "gram", tuple(tuple(PhaseQ._wrap(Fraction(x, den)) for x in row) for row in num)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("LinkingMatrix is immutable")
@@ -51,28 +65,16 @@ def linking_form(G: GluingData, theta, vartheta) -> PhaseQ:
     return PhaseQ(vec_dot(G.Q.apply(t), G.P.apply(v)))
 
 
-def linking_matrix(G: GluingData) -> LinkingMatrix:
-    """Gram matrix over the canonical SNF generators: g_ij / L from gram_integerized."""
-    T = torsion_elements(G)
-    r = len(T.dims)
-    gens = [T.by_index(tuple(1 if i == j else 0 for j in range(r))) for i in range(r)]
-    L, g = gram_integerized(G)
-    return LinkingMatrix(gens, [[PhaseQ(Fraction(x, L)) for x in row] for row in g])
-
-
 @per_manifold
-def gram_integerized(G: GluingData) -> tuple:
-    """The gram matrix scaled onto a common denominator L.
-
-    Returns (L, g) with g[i][j] = L * Gamma(gen_i, gen_j) as plain ints in
-    [0, L), L the lcm of the entries' reduced denominators, so downstream
-    sums can run in integer arithmetic mod L.
+def linking_matrix(G: GluingData) -> LinkingMatrix:
+    """The linking form over the canonical SNF generators, once per manifold.
 
     Computed from the Smith factors P = U D V in integers: gen_i is
-    V^-1 e_i / d_i up to an integer vector and P V^-1 = U D, so
+    V^-1 e_pos_i / d_i reduced into [0, 1), and P V^-1 = U D, so
     Gamma(gen_i, gen_j) = (Q V^-1)[:, pos_i] . U[:, pos_j] / d_i mod 1.
-    The test suite checks it against linking_form, which evaluates
-    <Q theta, P vartheta> on the generators directly.
+    The test suite checks every entry against linking_form, which
+    evaluates <Q theta, P vartheta> on the generators directly, and every
+    generator against the torsion group's canonical representatives.
     """
     snf = homology_profile(G).snf_of_P
     torsion = [(pos, d) for pos, d in enumerate(snf.diagonal) if d >= 2]
@@ -87,9 +89,10 @@ def gram_integerized(G: GluingData) -> tuple:
             h = gcd(a, d_i)
             row.append((a // h, d_i // h))
         fracs.append(row)
-    L = lcm(*(den for row in fracs for _, den in row))
-    g = tuple(tuple(num * (L // den) for num, den in row) for row in fracs)
-    return L, g
+    den = lcm(*(d for row in fracs for _, d in row))
+    num = [[n * (den // d) for n, d in row] for row in fracs]
+    gens = [TorsionRep(Fraction(x % d, d) for x in snf.v_inverse.col(pos)) for pos, d in torsion]
+    return LinkingMatrix([d for _, d in torsion], den, num, gens)
 
 
 def _radical_order(dims, L: int, g) -> int:
@@ -112,12 +115,10 @@ def _radical_order(dims, L: int, g) -> int:
 def is_nondegenerate(G: GluingData) -> bool:
     """True iff only the identity pairs to zero with every torsion class.
 
-    Counts the radical from one Smith form of the r × 2r matrix
-    [gᵀ | L·I_r] built from the integerized gram (see _radical_order), in
-    O(r³) integer steps; no torsion class is enumerated.
+    Counts the radical of linking_matrix(G) from one Smith form of the
+    r × 2r matrix [numᵀ | den·I_r] (see _radical_order), in O(r³) integer
+    steps; no torsion class is enumerated.  A torsion-free manifold gives
+    the empty form, whose radical has order 1.
     """
-    dims = homology_profile(G).invariant_factors
-    if not dims:
-        return True
-    L, g = gram_integerized(G)
-    return _radical_order(dims, L, g) == 1
+    lm = linking_matrix(G)
+    return _radical_order(lm.dims, lm.den, lm.num) == 1

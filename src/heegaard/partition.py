@@ -25,10 +25,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import cos, fsum, gcd, lcm, pi, sin
+from operator import index
 
 from .exact import PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile, torsion_elements
-from .linking import gram_integerized, is_nondegenerate, linking_form
+from .linking import is_nondegenerate, linking_form, linking_matrix
 from .splitting import GluingData, _check_enumerable, per_manifold
 
 
@@ -53,7 +54,7 @@ class PhaseSum:
         acc = {}
         for ph, mult in items:
             value = ph.value if isinstance(ph, PhaseQ) else frac_mod1(ph)
-            mult = int(mult)
+            mult = index(mult)
             if mult < 0:
                 raise ValueError("multiplicities must be nonnegative")
             if mult:
@@ -234,8 +235,8 @@ def _cs_histogram(G: GluingData) -> PhaseSum:
     if not profile.invariant_factors:
         return PhaseSum._from_counts(1, {0: 1})
     _check_enumerable("|T|", profile.torsion_order)
-    L, gram = gram_integerized(G)
-    return PhaseSum._from_counts(L, _diag_quad_counts(profile.invariant_factors, gram, L))
+    lm = linking_matrix(G)
+    return PhaseSum._from_counts(lm.den, _diag_quad_counts(lm.dims, lm.num, lm.den))
 
 
 def z_cs(G: GluingData, k: int) -> PhaseSum:
@@ -397,7 +398,7 @@ def gauss_sum_oracle(p: int, q: int, k: int) -> complex:
     mod p before hitting floating point so the 1e−9 comparisons are easy.
     p above _ENUMERATION_LIMIT raises ValueError.
     """
-    p, q, k = int(p), int(q), int(k)
+    p, q = index(p), index(q)
     if p < 1:
         raise ValueError("p must be at least 1")
     _check_enumerable("p", p)
@@ -424,8 +425,8 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     |T| above _ENUMERATION_LIMIT raises ValueError.
     """
     _check_level(k)
-    grid_n = int(grid_n)
-    m_window = int(m_window)
+    grid_n = index(grid_n)
+    m_window = index(m_window)
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
     if m_window < 0:

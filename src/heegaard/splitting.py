@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from functools import wraps
 from math import gcd
+from operator import index
 from typing import Iterable
 
 from .exact import IntMatrix
@@ -100,7 +101,7 @@ class GluingData:
     derived from them live on the instance (per_manifold), outside its value.
     """
 
-    __slots__ = ("genus", "R", "P", "S", "Q", "_hash", "_memo")
+    __slots__ = ("genus", "R", "P", "S", "Q", "_memo")
 
     def __init__(self, r, p, s, q):
         R, P, S, Q = _coerce_blocks(r, p, s, q)
@@ -116,7 +117,6 @@ class GluingData:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "_hash", hash((genus, R, P, S, Q)))
         object.__setattr__(self, "_memo", {})
 
     @classmethod
@@ -160,7 +160,7 @@ class GluingData:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.genus, self.R, self.P, self.S, self.Q))
 
     def __repr__(self) -> str:
         return (
@@ -266,7 +266,7 @@ def lens(p: int, q: int) -> GluingData:
     s ≥ 0, then |s| minimal, then r ≥ 0; downstream invariants do not
     depend on the choice.
     """
-    p, q = int(p), int(q)
+    p, q = index(p), index(q)
     if p < 0:
         p, q = -p, -q
     if gcd(p, q) != 1:

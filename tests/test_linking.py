@@ -1,20 +1,21 @@
 import time
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heegaard import linking
 from heegaard.exact import PhaseQ
 from heegaard.homology import free_flat_basis, torsion_elements
 from heegaard.linking import (
     _radical_order,
-    gram_integerized,
     is_nondegenerate,
     linking_form,
     linking_matrix,
 )
-from heegaard.splitting import connected_sum, lens, random_splitting
+from heegaard.partition import z_cs
+from heegaard.splitting import connected_sum, lens, random_splitting, stabilize
 from oracle_helpers import radical_order_scan
 
 splitting_params = st.tuples(
@@ -117,8 +118,8 @@ def test_radical_order_matches_scan(case):
 
 def assert_nondegenerate_by_scan(G):
     dims = torsion_elements(G).dims
-    L, g = gram_integerized(G)
-    assert radical_order_scan(dims, g, L) == 1
+    lm = linking_matrix(G)
+    assert radical_order_scan(dims, lm.num, lm.den) == 1
     assert is_nondegenerate(G)
 
 
@@ -166,14 +167,41 @@ def test_linking_matrix_tabulates_generators(params):
 
 
 @given(splitting_params)
-def test_gram_integerized_consistent(params):
+def test_linking_matrix_integer_form_consistent(params):
     G = random_splitting(*params)
-    L, g = gram_integerized(G)
     lm = linking_matrix(G)
     r = len(lm.generators)
-    assert L >= 1
+    assert lm.dims == torsion_elements(G).dims and len(lm.dims) == r
+    assert lm.den == lcm(*(ph.denominator for row in lm.gram for ph in row))
     for i in range(r):
         for j in range(r):
-            scaled = lm.gram[i][j].value * L
-            assert scaled.denominator == 1
-            assert g[i][j] == scaled.numerator
+            assert 0 <= lm.num[i][j] < lm.den
+            assert Fraction(lm.num[i][j], lm.den) == lm.gram[i][j].value
+
+
+def test_linking_matrix_built_once_per_instance(monkeypatch):
+    built = []
+    build = linking.LinkingMatrix
+    monkeypatch.setattr(linking, "LinkingMatrix", lambda *args: built.append(args) or build(*args))
+    G = random_splitting(2, 3, 12)
+    assert torsion_elements(G).dims
+    lm = linking_matrix(G)
+    assert is_nondegenerate(G)
+    for k in range(1, 7):
+        z_cs(G, k)
+    assert len(built) == 1
+    assert linking_matrix(G) is lm
+    H = random_splitting(2, 3, 12)
+    assert H == G and H is not G
+    linking_matrix(H)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "G", [lens(1, 0), lens(0, 1), stabilize(lens(0, 1))], ids=["S3", "S1xS2", "stabilized_S1xS2"]
+)
+def test_torsion_free_form_is_empty(G):
+    lm = linking_matrix(G)
+    assert lm.dims == () and lm.den == 1
+    assert lm.generators == () and lm.num == () and lm.gram == ()
+    assert is_nondegenerate(G)

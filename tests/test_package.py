@@ -1,11 +1,71 @@
+import importlib
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import heegaard
+from heegaard.cli import serialize_manifold
+from heegaard.exact import PhaseQ
+from heegaard.fields import FiniteDBClass, zero_mode_shift
+from heegaard.partition import PhaseSum, free_mode_grid_oracle, gauss_sum_oracle, z_cs
+from heegaard.splitting import lens
 
 
 def test_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(heegaard.__file__))
     code = "import sys, heegaard; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_console_script_runs_the_cli(monkeypatch, capsys):
+    # tomllib needs Python 3.11; the [project.scripts] table is read by regex
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    scripts = dict(re.findall(r'^([\w-]+)\s*=\s*"([^"]+)"', table, re.M))
+    assert scripts == {"heegaard": "heegaard.cli:main"}
+    module, attr = scripts["heegaard"].split(":")
+    main = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["heegaard", "catalog", "s3"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == serialize_manifold(lens(1, 0), "s3")
+
+
+S1xS2 = lens(0, 1)
+
+# each entry point with one integer argument replaced by x, and an int it takes
+INTEGER_ARGUMENTS = {
+    "lens-p": (lambda x: lens(x, 2), 5),
+    "lens-q": (lambda x: lens(5, x), 2),
+    "gauss_sum_oracle-p": (lambda x: gauss_sum_oracle(x, 2, 1), 5),
+    "gauss_sum_oracle-q": (lambda x: gauss_sum_oracle(5, x, 1), 2),
+    "free_mode_grid_oracle-grid_n": (lambda x: free_mode_grid_oracle(lens(5, 2), 1, x, 2), 7),
+    "free_mode_grid_oracle-m_window": (lambda x: free_mode_grid_oracle(S1xS2, 1, 7, x), 2),
+    "PhaseSum-multiplicity": (lambda x: PhaseSum({PhaseQ(0): x}), 2),
+    "FiniteDBClass-m": (lambda x: FiniteDBClass(S1xS2, m=[x]), 3),
+    "zero_mode_shift-u": (lambda x: zero_mode_shift(S1xS2, FiniteDBClass(S1xS2), [x], 1), 1),
+}
+
+
+@pytest.mark.parametrize("bad", [5.9, 2.0, Fraction(5, 2)], ids=["5.9", "2.0", "Fraction5_2"])
+@pytest.mark.parametrize("site", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_non_integers(site, bad):
+    call, good = INTEGER_ARGUMENTS[site]
+    with pytest.raises(TypeError):
+        call(bad)
+    call(good)
+    assert call(True) == call(1)
+
+
+@pytest.mark.parametrize("bad", [1.7, Fraction(5, 2), True], ids=["1.7", "Fraction5_2", "True"])
+def test_gauss_sum_oracle_checks_its_level_as_z_cs_does(bad):
+    with pytest.raises(ValueError, match="level k must be a positive integer"):
+        z_cs(lens(5, 2), bad)
+    with pytest.raises(ValueError, match="level k must be a positive integer"):
+        gauss_sum_oracle(5, 2, bad)
