@@ -11,14 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 
-from .exact import PhaseQ, RationalQ, vec_dot
+from .exact import Frozen, PhaseQ, RationalQ, vec_dot
 from .homology import TorsionRep
 from .linking import linking_form
 from .partition import _check_level
 from .splitting import GluingData
 
 
-class FiniteDBClass:
+class FiniteDBClass(Frozen):
     """One gauge class: (m, theta_f, theta_t, holonomy, smooth_self).
 
     Construction validates every sector constraint against the gluing
@@ -52,15 +52,7 @@ class FiniteDBClass:
             raise ValueError("sector constraint violation: theta_f is not a free flat mode")
         if any(x.denominator != 1 for x in G.P.apply(theta_t.theta)):
             raise ValueError("sector constraint violation: P·theta_t is not integral")
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "theta_f", theta_f)
-        object.__setattr__(self, "theta_t", theta_t)
-        object.__setattr__(self, "holonomy", holonomy)
-        object.__setattr__(self, "smooth_self", Fraction(smooth_self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteDBClass is immutable")
+        self._init(G, m, theta_f, theta_t, holonomy, Fraction(smooth_self))
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict: integer vectors plain, rationals as "num/den"."""
@@ -84,20 +76,6 @@ class FiniteDBClass:
         }
         data.update(kwargs)
         return FiniteDBClass(self.G, **data)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteDBClass)
-            and self.G == other.G
-            and self.m == other.m
-            and self.theta_f == other.theta_f
-            and self.theta_t == other.theta_t
-            and self.holonomy == other.holonomy
-            and self.smooth_self == other.smooth_self
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.G, self.m, self.theta_f, self.theta_t, self.holonomy, self.smooth_self))
 
     def __repr__(self) -> str:
         return (

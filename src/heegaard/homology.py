@@ -11,33 +11,21 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, prod
 
-from .exact import SmithDecomposition, frac_mod1, integer_kernel, smith_normal_form, vec_dot
+from .exact import Frozen, SmithDecomposition, frac_mod1, integer_kernel, smith_normal_form, vec_dot
 from .splitting import GluingData, per_manifold
 
 
-class HomologyProfile:
+class HomologyProfile(Frozen):
     """Free rank, invariant factors, and the Smith data they came from."""
 
     __slots__ = ("b1", "invariant_factors", "torsion_order", "snf_of_P")
 
     def __init__(self, b1: int, invariant_factors: tuple, snf_of_P: SmithDecomposition):
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "invariant_factors", tuple(invariant_factors))
-        object.__setattr__(self, "torsion_order", prod(invariant_factors, start=1))
-        object.__setattr__(self, "snf_of_P", snf_of_P)
+        factors = tuple(invariant_factors)
+        self._init(b1, factors, prod(factors, start=1), snf_of_P)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HomologyProfile is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomologyProfile)
-            and self.b1 == other.b1
-            and self.invariant_factors == other.invariant_factors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.b1, self.invariant_factors))
+    def _key(self) -> tuple:
+        return (self.b1, self.invariant_factors)
 
     def kernel_count(self, k: int) -> int:
         """|{theta in T : k.theta = 0}| = prod of gcd(k, d_i), the k-torsion count."""
@@ -50,7 +38,7 @@ class HomologyProfile:
         )
 
 
-class TorsionRep:
+class TorsionRep(Frozen):
     """A flat representative: rational vector in [0,1)^g, P-image integral."""
 
     __slots__ = ("theta",)
@@ -60,10 +48,7 @@ class TorsionRep:
         for x in vals:
             if not 0 <= x < 1:
                 raise ValueError(f"component {x} is outside [0, 1)")
-        object.__setattr__(self, "theta", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorsionRep is immutable")
+        self._init(vals)
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -73,12 +58,6 @@ class TorsionRep:
 
     def __getitem__(self, i) -> Fraction:
         return self.theta[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorsionRep) and self.theta == other.theta
-
-    def __hash__(self) -> int:
-        return hash(self.theta)
 
     def __repr__(self) -> str:
         return f"TorsionRep(({', '.join(str(x) for x in self.theta)}))"

@@ -10,12 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .exact import IntMatrix, PhaseQ, smith_normal_form, vec_dot
+from .exact import Frozen, IntMatrix, PhaseQ, smith_normal_form, vec_dot
 from .homology import TorsionRep, homology_profile
 from .splitting import GluingData, per_manifold
 
 
-class LinkingMatrix:
+class LinkingMatrix(Frozen):
     """The torsion linking form of one manifold over its SNF generators.
 
     dims holds the invariant factors d_1 | ... | d_r and generators the
@@ -30,16 +30,8 @@ class LinkingMatrix:
 
     def __init__(self, dims, den: int, num, generators):
         num = tuple(tuple(row) for row in num)
-        object.__setattr__(self, "dims", tuple(dims))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(
-            self, "gram", tuple(tuple(PhaseQ._wrap(Fraction(x, den)) for x in row) for row in num)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinkingMatrix is immutable")
+        gram = tuple(tuple(PhaseQ._wrap(Fraction(x, den)) for x in row) for row in num)
+        self._init(tuple(dims), den, num, tuple(generators), gram)
 
     def __repr__(self) -> str:
         rows = [[str(ph) for ph in row] for row in self.gram]

@@ -27,13 +27,13 @@ from itertools import product
 from math import cos, fsum, gcd, lcm, pi, sin
 from operator import index
 
-from .exact import PhaseQ, frac_mod1, vec_dot
+from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile, torsion_elements
 from .linking import is_nondegenerate, linking_form, linking_matrix
 from .splitting import GluingData, _check_enumerable, per_manifold
 
 
-class PhaseSum:
+class PhaseSum(Frozen):
     """Exact formal sum of unit phases: a map PhaseQ -> multiplicity >= 1.
 
     Represents sum over terms of multiplicity * e^{2*pi*i*phase}.  Stored
@@ -77,9 +77,6 @@ class PhaseSum:
         self = object.__new__(cls)
         self._set(den, counts)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseSum is immutable")
 
     def __reduce__(self):
         return PhaseSum._from_counts, (self._den, self._counts)

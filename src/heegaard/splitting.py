@@ -15,7 +15,7 @@ from math import gcd
 from operator import index
 from typing import Iterable
 
-from .exact import IntMatrix
+from .exact import Frozen, IntMatrix
 
 # largest |T|, d_r or p that a sum may enumerate, and (2g)² a random splitting may build
 _ENUMERATION_LIMIT = 10**6
@@ -92,7 +92,7 @@ def block_relation_violations(r, p, s, q) -> list:
     return out
 
 
-class GluingData:
+class GluingData(Frozen):
     """Validated gluing blocks of a genus-g Heegaard splitting.
 
     Construction runs the full six-relation validation and raises
@@ -126,9 +126,6 @@ class GluingData:
         self = object.__new__(cls)
         self._set(R, P, S, Q)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GluingData is immutable")
 
     def __reduce__(self):
         # the blocks alone, re-validated on load; _memo does not travel

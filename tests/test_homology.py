@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heegaard.homology import (
+    HomologyProfile,
     TorsionRep,
     curvature_lattice_basis,
     free_flat_basis,
@@ -30,6 +31,12 @@ def test_profile_pinned_lens():
     assert (sphere.b1, list(sphere.invariant_factors)) == (0, [])
     handle = homology_profile(lens(0, 1))
     assert (handle.b1, list(handle.invariant_factors)) == (1, [])
+
+
+def test_profile_takes_factors_from_a_generator():
+    snf = homology_profile(lens(5, 1)).snf_of_P
+    profile = HomologyProfile(0, (d for d in [5]), snf)
+    assert (profile.invariant_factors, profile.torsion_order) == ((5,), 5)
 
 
 def test_profile_pinned_connected_sum():

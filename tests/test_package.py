@@ -22,6 +22,14 @@ def test_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    # `heegaard partition` is dominated by import time; `import dataclasses`
+    # pulls in inspect, about 14 ms on each call
+    src = os.path.dirname(os.path.dirname(heegaard.__file__))
+    code = "import sys, heegaard.cli; assert not {'dataclasses', 'inspect'} & set(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_console_script_runs_the_cli(monkeypatch, capsys):
     # tomllib needs Python 3.11; the [project.scripts] table is read by regex
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import heegaard.partition as partition
-from heegaard.exact import IntMatrix, PhaseQ, frac_mod1
-from heegaard.homology import homology_profile, torsion_elements
+from heegaard.exact import IntMatrix, PhaseQ, frac_mod1, smith_normal_form
+from heegaard.fields import FiniteDBClass
+from heegaard.homology import TorsionRep, homology_profile, torsion_elements
 from heegaard.linking import is_nondegenerate, linking_matrix
 from heegaard.partition import (
     PhaseSum,
@@ -107,14 +108,34 @@ def test_phase_sum_immutable():
         lambda: PhaseQ(Fraction(3, 7)),
         lambda: z_cs(lens(7, 3), 2),
         lambda: random_splitting(2, 5, 12),
+        lambda: smith_normal_form(IntMatrix.from_rows([[4, 6], [2, -8]])),
+        lambda: homology_profile(random_splitting(2, 5, 12)),
+        lambda: TorsionRep([Fraction(1, 3), 0]),
+        lambda: linking_matrix(random_splitting(2, 5, 12)),
+        lambda: FiniteDBClass(lens(0, 1), m=[3], theta_f=[Fraction(1, 2)], smooth_self=2),
     ],
-    ids=["IntMatrix", "PhaseQ", "PhaseSum", "GluingData"],
+    ids=[
+        "IntMatrix",
+        "PhaseQ",
+        "PhaseSum",
+        "GluingData",
+        "SmithDecomposition",
+        "HomologyProfile",
+        "TorsionRep",
+        "LinkingMatrix",
+        "FiniteDBClass",
+    ],
 )
 def test_values_pickle_and_copy(make):
     x = make()
     for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(clone) is type(x)
         assert clone == x and hash(clone) == hash(x)
+    name = type(x).__slots__[0]
+    value = getattr(x, name)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    assert getattr(x, name) is value
 
 
 def test_unpickled_manifold_starts_with_empty_memo():
