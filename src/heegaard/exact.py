@@ -82,15 +82,17 @@ class IntMatrix(Frozen):
 
     Supports the small exact-linear-algebra vocabulary the rest of the
     package needs: products, transpose, application to rational vectors.
-    The public constructors check their entries with operator.index, so
-    an int or bool is taken and a float, Fraction or Decimal is refused
-    with TypeError rather than truncated.  Results built inside this
-    module from entries that are already ints go through the trusted _of.
+    The public constructors check their dimensions and entries with
+    operator.index, so an int or bool is taken and a float, Fraction or
+    Decimal is refused with TypeError rather than truncated.  Results
+    built inside this module from entries that are already ints go
+    through the trusted _of.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
+        rows, cols = index(rows), index(cols)
         ent = tuple(map(index, entries))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")

@@ -2,7 +2,7 @@
 
 The Smith form P = U D V turns coker P into Z^{b1} + sum of Z_{d_i}.
 Torsion classes get canonical rational representatives theta in [0,1)^g
-with P theta integral, built from the columns of V^-1 over d_r.
+with P theta integral, built from the torsion columns of V^-1 over d_r.
 """
 
 from __future__ import annotations
@@ -16,13 +16,25 @@ from .splitting import GluingData, per_manifold
 
 
 class HomologyProfile(Frozen):
-    """Free rank, invariant factors, and the Smith data they came from."""
+    """Free rank, invariant factors, torsion columns, and their Smith data.
 
-    __slots__ = ("b1", "invariant_factors", "torsion_order", "snf_of_P")
+    The invariant factors d_1 | ... | d_r sit on the Smith diagonal of P
+    just before its b1 zeros.  torsion_columns[i] is the column of V^-1
+    at that diagonal position of d_i, reduced mod d_i: an integer vector
+    c_i with 0 <= c_i < d_i and P c_i in d_i Z^g, so that c_i / d_i is the
+    canonical representative of the i-th torsion generator.
+    """
+
+    __slots__ = ("b1", "invariant_factors", "torsion_order", "torsion_columns", "snf_of_P")
 
     def __init__(self, b1: int, invariant_factors: tuple, snf_of_P: SmithDecomposition):
         factors = tuple(invariant_factors)
-        self._init(b1, factors, prod(factors, start=1), snf_of_P)
+        first = snf_of_P.rank - len(factors)
+        vinv = snf_of_P.v_inverse
+        columns = tuple(
+            tuple(x % d for x in vinv.col(first + i)) for i, d in enumerate(factors)
+        )
+        self._init(b1, factors, prod(factors, start=1), columns, snf_of_P)
 
     def _key(self) -> tuple:
         return (self.b1, self.invariant_factors)
@@ -88,20 +100,18 @@ class TorsionElements(Sequence):
     def __init__(self, G: GluingData):
         self._profile = profile = homology_profile(G)
         snf = profile.snf_of_P
-        diag = snf.diagonal
-        self._dims = profile.invariant_factors
-        self._positions = tuple(i for i, d in enumerate(diag) if d >= 2)
+        self._dims = dims = profile.invariant_factors
+        self._positions = range(snf.rank - len(dims), snf.rank)
         self._v = snf.V
         self._genus = G.genus
         self._order = profile.torsion_order
-        # generator i is V^-1 e_pos_i / d_i; over the common denominator
-        # den = d_r its numerators are (den/d_i) * V^-1[:, pos_i] mod den,
+        # generator i is c_i / d_i (c_i = torsion_columns[i]); over the
+        # common denominator den = d_r its numerators are (den/d_i) * c_i,
         # stored here by coordinate c = 0..g-1
-        self._den = den = self._dims[-1] if self._dims else 1
-        vinv = snf.v_inverse
+        self._den = den = dims[-1] if dims else 1
+        columns = profile.torsion_columns
         self._gen_nums = tuple(
-            tuple(den // d * vinv[c, pos] % den for d, pos in zip(self._dims, self._positions))
-            for c in range(G.genus)
+            tuple(den // d * col[c] for d, col in zip(dims, columns)) for c in range(G.genus)
         )
 
     @property

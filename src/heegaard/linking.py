@@ -61,30 +61,29 @@ def linking_form(G: GluingData, theta, vartheta) -> PhaseQ:
 def linking_matrix(G: GluingData) -> LinkingMatrix:
     """The linking form over the canonical SNF generators, once per manifold.
 
-    Computed from the Smith factors P = U D V in integers: gen_i is
-    V^-1 e_pos_i / d_i reduced into [0, 1), and P V^-1 = U D, so
-    Gamma(gen_i, gen_j) = (Q V^-1)[:, pos_i] . U[:, pos_j] / d_i mod 1.
-    The test suite checks every entry against linking_form, which
-    evaluates <Q theta, P vartheta> on the generators directly, and every
-    generator against the torsion group's canonical representatives.
+    gen_i = c_i / d_i, c_i the i-th torsion column of homology_profile(G),
+    and P c_j lies in d_j Z^g, so Gamma(gen_i, gen_j) is the integer
+    <Q c_i, P c_j / d_j> over d_i, reduced mod 1.  The test suite checks
+    every entry against linking_form, which evaluates <Q theta, P vartheta>
+    on the generators directly, and every generator against the torsion
+    group's canonical representatives.
     """
-    snf = homology_profile(G).snf_of_P
-    torsion = [(pos, d) for pos, d in enumerate(snf.diagonal) if d >= 2]
-    qv = G.Q @ snf.v_inverse
-    U = snf.U
+    profile = homology_profile(G)
+    dims, columns = profile.invariant_factors, profile.torsion_columns
+    images = [[x // d for x in G.P.apply(c)] for c, d in zip(columns, dims)]
     fracs = []  # reduced (numerator, denominator) of each entry
-    for pos_i, d_i in torsion:
-        left = qv.col(pos_i)
+    for c_i, d_i in zip(columns, dims):
+        left = G.Q.apply(c_i)
         row = []
-        for pos_j, _ in torsion:
-            a = vec_dot(left, U.col(pos_j)) % d_i
+        for image in images:
+            a = vec_dot(left, image) % d_i
             h = gcd(a, d_i)
             row.append((a // h, d_i // h))
         fracs.append(row)
     den = lcm(*(d for row in fracs for _, d in row))
     num = [[n * (den // d) for n, d in row] for row in fracs]
-    gens = [TorsionRep(Fraction(x % d, d) for x in snf.v_inverse.col(pos)) for pos, d in torsion]
-    return LinkingMatrix([d for _, d in torsion], den, num, gens)
+    gens = [TorsionRep(Fraction(x, d) for x in c) for c, d in zip(columns, dims)]
+    return LinkingMatrix(dims, den, num, gens)
 
 
 def _radical_order(dims, L: int, g) -> int:

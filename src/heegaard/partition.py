@@ -28,7 +28,7 @@ from math import cos, fsum, gcd, lcm, pi, sin
 from operator import index
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
-from .homology import curvature_lattice_basis, homology_profile, torsion_elements
+from .homology import curvature_lattice_basis, free_flat_basis, homology_profile, torsion_elements
 from .linking import is_nondegenerate, linking_form, linking_matrix
 from .splitting import GluingData, _check_enumerable, per_manifold
 
@@ -268,31 +268,17 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def _prime_factors(n: int) -> list:
-    """Distinct primes dividing n, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
+def _peel(divisors, f) -> dict:
+    """Möbius inversion of f over divisors, the divisors of n in increasing order.
 
-
-def _mobius(n: int, primes) -> int:
-    """μ(n) for an n whose prime factors are all among primes."""
-    sign = 1
-    for p in primes:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-    return sign
+    Returns g with f(m) = Σ_{e | m} g(e) for every listed m: each g(m) is
+    f(m) less the g of the proper divisors of m, which come before m, so
+    g(m) = Σ_{e | m} μ(m/e)·f(e).  Cost O(#divisors²).
+    """
+    g = {}
+    for m in divisors:
+        g[m] = f(m) - sum(c for e, c in g.items() if m % e == 0)
+    return g
 
 
 def _gcd_class_fill(L: int, divisors, value) -> list:
@@ -311,16 +297,18 @@ def _gcd_class_fill(L: int, divisors, value) -> list:
 def _gcd_class_sum(L: int, counts: dict):
     """Σ_a counts[a]·e^{2πi·a/L} as an exact integer, or None.
 
-    counts holds every 0 ≤ a < L.  If counts[a] = f(gcd(a, L)), the class
-    gcd(a, L) = e contributes f(e)·μ(L/e) (a Ramanujan sum) and the total
-    is returned; otherwise None.
+    counts holds every 0 ≤ a < L.  If counts[a] = f(gcd(a, L)), the sum
+    is Σ_{m | L} g(m)·Σ_{a ≡ 0 mod m} e^{2πi·a/L} with g = _peel(f), since
+    f(gcd(a, L)) = Σ_{m | gcd(a, L)} g(m).  The inner sum is 1 for m = L
+    and 0 for every other m, so the total is g(L) = Σ_{e | L} f(e)·μ(L/e),
+    which is returned; otherwise None.
     """
     arr = [counts[a] for a in range(L)]
     divisors = _divisors(L)
-    if _gcd_class_fill(L, divisors, lambda e: arr[e % L]) != arr:
+    f = lambda e: arr[e % L]
+    if _gcd_class_fill(L, divisors, f) != arr:
         return None
-    primes = _prime_factors(L)
-    return sum(arr[e % L] * _mobius(L // e, primes) for e in divisors)
+    return _peel(divisors, f)[L]
 
 
 def z_bf(G: GluingData, k: int) -> PhaseSum:
@@ -350,7 +338,7 @@ def _z_bf_class(G: GluingData, k: int) -> PhaseSum:
     times.  Every such n divides L = d_r/k, the exponent of kT, and
     n = L occurs, so the sum is dense over L.  The number of θ with
     ord(kθ) dividing n is Π gcd(nk, d_i); peeling off the counts of
-    proper divisors, in increasing order, leaves the number with
+    proper divisors (_peel) leaves by_order[n], the number with
     ord(kθ) = n.  The numerator a over L then has multiplicity
     Σ_{b | n | L} #{ord(kθ) = n}·|T|/n with b = L/gcd(a, L), which
     _gcd_class_fill writes in O(σ(L)) slice writes.  Cost
@@ -360,11 +348,7 @@ def _z_bf_class(G: GluingData, k: int) -> PhaseSum:
     dims = profile.invariant_factors
     L = (dims[-1] if dims else 1) // k
     divisors = _divisors(L)
-    by_order = {}  # n -> #{θ : ord(kθ) = n}
-    for n in divisors:
-        by_order[n] = profile.kernel_count(n * k) - sum(
-            c for m, c in by_order.items() if n % m == 0
-        )
+    by_order = _peel(divisors, lambda n: profile.kernel_count(n * k))
     size = profile.torsion_order
 
     def mult(e):  # multiplicity of the numerators a with gcd(a, L) = e
@@ -443,8 +427,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
             f"grid_n = {grid_n} must be coprime to 2*k*m_window = {2 * k * m_window}"
         )
     lattice = curvature_lattice_basis(G)
-    snf = profile.snf_of_P
-    free_basis = [snf.v_inverse.col(j) for j in range(snf.rank, G.genus)]
+    free_basis = free_flat_basis(G)
     g = G.genus
     total = 0j
     for coeffs in product(range(-m_window, m_window + 1), repeat=b1):

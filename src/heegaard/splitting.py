@@ -239,21 +239,6 @@ def anti_symplectic_check(r, p, s, q) -> bool:
     return M.transpose() @ J @ M == -J
 
 
-def _egcd(a: int, b: int) -> tuple:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def lens(p: int, q: int) -> GluingData:
     """Genus-1 splitting of the lens space L(p, q).
 
@@ -261,7 +246,9 @@ def lens(p: int, q: int) -> GluingData:
     Negative p is normalized to |p| with q negated.  The completion (r, s)
     of the gluing matrix solves p·s − q·r = 1 with |r| minimal, preferring
     s ≥ 0, then |s| minimal, then r ≥ 0; downstream invariants do not
-    depend on the choice.
+    depend on the choice.  For p ≥ 1 the solutions are r ≡ −q⁻¹ (mod p),
+    so the smallest |r| is at r0 = −q⁻¹ mod p in [0, p) or at r0 − p, and
+    the key above chooses between those two.
     """
     p, q = index(p), index(q)
     if p < 0:
@@ -272,19 +259,11 @@ def lens(p: int, q: int) -> GluingData:
         # −q·r = 1 forces r = −q; pick the smallest nonnegative s
         r, s = -q, 0
     else:
-        g, x, y = _egcd(p, q)
-        assert g == 1
-        # p·x + q·y = 1, so (r0, s0) = (−y, x); the solution line is
-        # r = r0 + p·t, s = s0 + q·t
-        r0, s0 = -y, x
-        t_center = round(-r0 / p)
-        best = None
-        for t in range(t_center - 2, t_center + 3):
-            r, s = r0 + p * t, s0 + q * t
-            key = (abs(r), 0 if s >= 0 else 1, abs(s), 0 if r >= 0 else 1)
-            if best is None or key < best[0]:
-                best = (key, r, s)
-        _, r, s = best
+        r0 = -pow(q, -1, p) % p
+        r, s = min(
+            ((r, (1 + q * r) // p) for r in (r0, r0 - p)),
+            key=lambda rs: (abs(rs[0]), rs[1] < 0, abs(rs[1]), rs[0] < 0),
+        )
     # genus 1: the four symmetry relations hold for any 1×1 blocks, and
     # both unimodularity relations read p·s − q·r = 1
     det = p * s - q * r

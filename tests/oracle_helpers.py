@@ -125,6 +125,12 @@ def _prime_powers(n):
     return out
 
 
+def mobius(n):
+    """μ(n) from the trial-division factorization of n: 0 unless squarefree."""
+    powers = _prime_powers(n)
+    return 0 if any(e > 1 for e in powers.values()) else (-1) ** len(powers)
+
+
 def merge_invariant_factors(a, b):
     """Invariant factors of the direct sum of two torsion groups.
 

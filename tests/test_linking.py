@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from heegaard import linking
 from heegaard.exact import PhaseQ
-from heegaard.homology import free_flat_basis, torsion_elements
+from heegaard.homology import free_flat_basis, homology_profile, torsion_elements
 from heegaard.linking import (
     _radical_order,
     is_nondegenerate,
@@ -158,6 +158,12 @@ def test_linking_matrix_tabulates_generators(params):
     T = torsion_elements(G)
     r = len(T.dims)
     assert len(lm.generators) == r
+    columns = homology_profile(G).torsion_columns
+    assert len(columns) == r
+    for i, (c, d) in enumerate(zip(columns, lm.dims)):
+        assert all(0 <= x < d for x in c)
+        assert all(y % d == 0 for y in G.P.apply(c))
+        assert tuple(Fraction(x, d) for x in c) == tuple(lm.generators[i])
     for i in range(r):
         unit = tuple(1 if t == i else 0 for t in range(r))
         assert lm.generators[i] == T.by_index(unit)

@@ -10,7 +10,7 @@ import pytest
 
 import heegaard
 from heegaard.cli import serialize_manifold
-from heegaard.exact import PhaseQ
+from heegaard.exact import IntMatrix, PhaseQ
 from heegaard.fields import FiniteDBClass, zero_mode_shift
 from heegaard.partition import PhaseSum, free_mode_grid_oracle, gauss_sum_oracle, z_cs
 from heegaard.splitting import lens
@@ -49,6 +49,8 @@ S1xS2 = lens(0, 1)
 
 # each entry point with one integer argument replaced by x, and an int it takes
 INTEGER_ARGUMENTS = {
+    "IntMatrix-rows": (lambda x: IntMatrix(x, 1, [7] * int(x)), 1),
+    "IntMatrix-cols": (lambda x: IntMatrix(1, x, [7] * int(x)), 2),
     "lens-p": (lambda x: lens(x, 2), 5),
     "lens-q": (lambda x: lens(5, x), 2),
     "gauss_sum_oracle-p": (lambda x: gauss_sum_oracle(x, 2, 1), 5),

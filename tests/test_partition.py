@@ -34,7 +34,7 @@ from heegaard.splitting import (
     matrix_to_blocks,
     random_splitting,
 )
-from oracle_helpers import bf_pair_histogram, fsum_phase_value
+from oracle_helpers import bf_pair_histogram, fsum_phase_value, mobius
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 120), st.sampled_from([0, 3, 6, 10])
@@ -385,6 +385,7 @@ def test_eval_numeric_exact_on_gcd_class_sums(L, data):
     S = PhaseSum({Fraction(a, L): m for a, m in counts.items()})
     value = eval_numeric(S)
     assert value.imag == 0.0 and value.real == int(value.real)
+    assert value.real == sum(f[e] * mobius(L // e) for e in f)
     direct = sum(cmath.exp(2j * pi * a / L) for a, m in counts.items() for _ in range(m))
     assert abs(value - direct) <= 1e-12 * max(1, S.total_terms)
     if L >= 3:

@@ -169,6 +169,12 @@ def test_lens_pinned_completions():
         (7, 2): (3, 7, 1, 2),
         (2, 1): (-1, 2, 0, 1),
         (5, 2): (2, 5, 1, 2),
+        (10**30 + 7, 10**29 + 3): (
+            -173913043478260869565217391306,
+            10**30 + 7,
+            -17391304347826086956521739131,
+            10**29 + 3,
+        ),
     }
     for (p, q), (r, pp, s, qq) in cases.items():
         G = lens(p, q)
@@ -188,6 +194,13 @@ def test_lens_completion_law(p, q):
     assert pp == abs(p)
     assert qq == (q if p >= 0 else -q) or p == 0
     assert pp * s - qq * r == 1
+    # the documented choice: |r|, then s >= 0, then |s|, then r >= 0
+    if pp:
+        rs = range(-pp - 1, pp + 2)
+        scan = [(x, (1 + qq * x) // pp) for x in rs if (1 + qq * x) % pp == 0]
+    else:
+        scan = [(-qq, y) for y in range(-2, 3)]
+    assert min(scan, key=lambda xy: (abs(xy[0]), xy[1] < 0, abs(xy[1]), xy[0] < 0)) == (r, s)
 
 
 def test_lens_blocks_pass_full_validation():
@@ -198,7 +211,7 @@ def test_lens_blocks_pass_full_validation():
 
 
 def test_lens_rejects_a_bad_completion(monkeypatch):
-    monkeypatch.setattr(splitting, "_egcd", lambda a, b: (1, 0, 0))
+    monkeypatch.setattr(splitting, "pow", lambda *a: 0, raising=False)
     with pytest.raises(ValidationError, match="P†S − Q†R = 0 ≠ 1"):
         lens(7, 3)
 
