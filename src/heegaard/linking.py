@@ -3,6 +3,8 @@
 Gamma(theta, vartheta) = <Q theta, P vartheta> mod 1 on torsion
 representatives.  Symmetry and representative independence follow from the
 block relations and are asserted by the test suite rather than assumed.
+The form's orthogonal splitting into p-primary Jordan blocks
+(_jordan_blocks) is what partition builds Z_CS from.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from math import gcd, lcm, prod
 
 from .exact import Frozen, IntMatrix, PhaseQ, smith_normal_form, vec_dot
 from .homology import TorsionRep, homology_profile
-from .splitting import GluingData, per_manifold
+from .splitting import _ENUMERATION_LIMIT, GluingData, per_manifold
 
 
 class LinkingMatrix(Frozen):
@@ -113,3 +115,114 @@ def is_nondegenerate(G: GluingData) -> bool:
     """
     lm = linking_matrix(G)
     return _radical_order(lm.dims, lm.den, lm.num) == 1
+
+
+def _primary_parts(n: int) -> list:
+    """[(p, q)] with q = p^e the largest power of p dividing n, p increasing.
+
+    By trial division, which stops past _ENUMERATION_LIMIT: a cofactor
+    with no prime factor up to the limit raises ValueError, since each of
+    its primes heads a Jordan block of more classes than the limit.
+    """
+    out = []
+    p = 2
+    while p * p <= n:
+        if p > _ENUMERATION_LIMIT:
+            raise ValueError(f"every prime factor of {n} exceeds the enumeration limit {_ENUMERATION_LIMIT}")
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, n))
+    return out
+
+
+def _split_primary(p: int, q: int, orders: list, A: list) -> list:
+    """Orthogonal splitting of the form A/q on ⊕ ℤ/orders[i], q a power of p.
+
+    Returns [(r, rows)]: the Jordan blocks, each the form rows/r on
+    (ℤ/r)^n with n = len(rows) and r a power of p; ⟨u/r⟩ for n = 1 and,
+    for p = 2 only, a plane with odd off-diagonal and even diagonal for
+    n = 2 (Wall, 1963).  Each step pivots on an entry of least p-adic
+    valuation, g = gcd(entry, q), a diagonal one if it can:
+    - a diagonal pivot xᵢ splits off ⟨u/r⟩, r = q/g, and the complement
+      is spanned by the xⱼ − cⱼxᵢ with Γ(xᵢ, xⱼ) = cⱼΓ(xᵢ, xᵢ); as
+      Γ(xᵢ, xⱼ) dies at the order of xⱼ, so does cⱼxᵢ, and every xⱼ keeps
+      its order;
+    - an off-diagonal pivot (a, b) with odd p replaces xₐ by xₐ + x_b,
+      whose Γ(x, x) = Γₐₐ + 2Γₐ_b + Γ_bb has the least valuation, and
+      pivots on it next;
+    - with p = 2 it splits off the plane ⟨xₐ, x_b⟩, whose determinant has
+      valuation exactly twice the least, and the complement by the same
+      projection.
+    The form is nondegenerate iff each pivot's generators have the order
+    r of its block, the largest order left, so xₐ + x_b keeps the order
+    of xₐ; anything else raises ValueError.  A is modified.
+    """
+    live = list(range(len(orders)))
+    blocks = []
+    while live:
+        # least valuation first, then diagonal before off-diagonal
+        g, off, a, b = min((gcd(A[i][j], q), i != j, i, j) for i in live for j in live if i <= j)
+        r = q // g
+        pivot = (a, b) if off else (a,)
+        if any(orders[i] != r for i in pivot):
+            raise ValueError(
+                f"linking form is degenerate: a generator of order {orders[a]} heads a Jordan block of order {r}"
+            )
+        if off and p != 2:
+            for k in live:
+                A[a][k] = (A[a][k] + A[b][k]) % q
+            for k in live:
+                A[k][a] = (A[k][a] + A[k][b]) % q
+            continue
+        rows = [[A[i][j] // g % r for j in pivot] for i in pivot]
+        blocks.append((r, rows))
+        live = [k for k in live if k not in pivot]
+        if off:
+            (m00, m01), (_, m11) = rows
+            det = pow(m00 * m11 - m01 * m01, -1, r)
+            inv = [[m11 * det, -m01 * det], [-m01 * det, m00 * det]]
+        else:
+            inv = [[pow(rows[0][0], -1, r)]]
+        # xₖ − Σᵢ coef[i][k]·x_pivot[i] is orthogonal to the pivot generators
+        coefs = [[sum(x * A[j][k] for x, j in zip(row, pivot)) // g % r for k in live] for row in inv]
+        for c, i in zip(coefs, pivot):
+            for j in live:
+                x = A[j][i]
+                if x:
+                    row = A[j]
+                    for k, ck in zip(live, c):
+                        row[k] = (row[k] - ck * x) % q
+    return blocks
+
+
+def _jordan_blocks(dims, den: int, num) -> list:
+    """Jordan splitting of the form Γ(genᵢ, genⱼ) = num[i][j]/den on ⊕ ℤ/dᵢ.
+
+    Returns [(p, r, rows)], p increasing: the form rows/r on (ℤ/r)^n,
+    n = len(rows), r a power of p (see _split_primary).  Γ splits
+    orthogonally into its p-primary parts, since cross terms have coprime
+    orders.  The p-part is spanned by xᵢ = cᵢ·genᵢ, cᵢ the prime-to-p part
+    of dᵢ, with gram cᵢcⱼ·num[i][j]/den = A[i][j]/q, q the p-part of den;
+    m = den/q divides cᵢcⱼ·num[i][j] because Γ(xᵢ, xⱼ) has p-power order.
+    A nondegenerate form has den equal to the exponent lcm(dᵢ) of the
+    group; a smaller den raises ValueError.
+    """
+    if den != lcm(*dims):
+        raise ValueError("linking form is degenerate: its denominator is below the exponent of the group")
+    out = []
+    for p, q in _primary_parts(den):
+        m = den // q
+        if len(dims) == 1:  # num[0][0] is a unit mod den, so the part is ⟨m·num/q⟩
+            blocks = [(q, [[m * num[0][0] % q]])]
+        else:
+            part = [(i, d // gcd(d, q)) for i, d in enumerate(dims) if d % p == 0]
+            A = [[ci * cj * num[i][j] // m % q for j, cj in part] for i, ci in part]
+            blocks = _split_primary(p, q, [dims[i] // c for i, c in part], A)
+        out += [(p, r, rows) for r, rows in blocks]
+    return out

@@ -9,13 +9,16 @@ every Z_BF sum does, evaluates exactly to an integer by Ramanujan sums;
 any other sum adds its terms with math.fsum.  Either way equal sums give
 bit-identical floats whatever the order of their bins.
 
-Z_CS enumerates the torsion classes once per manifold, in integer
-arithmetic modulo the common denominator L of the linking gram, into a
-level-independent histogram of L·Γ(θ,θ); each level k then remaps its
-bins n ↦ −k·n mod L.  Z_BF needs no enumeration: by nondegeneracy of the
-linking form its multiset follows from the invariant factors alone, and
-is written over its reduced denominator by one slice per divisor, once
-per manifold for each class of levels with the same gcd(k, d_r).
+Neither sum enumerates the torsion group.  Z_CS splits the linking form
+orthogonally into p-primary Jordan blocks, ⟨u/pᶠ⟩ and, for p = 2, planes
+(Wall, 1963).  The histogram of Γ(θ,θ) over T is then the PhaseSum product
+of the blocks' histograms, built once per manifold in integer arithmetic
+over the common denominator L of the linking gram.  Each level k then
+remaps its bins n ↦ −k·n mod L.  By nondegeneracy of the linking form,
+the Z_BF multiset follows from the invariant factors alone; it is written
+over its reduced denominator by one slice per divisor, once per manifold
+for each class of levels with the same gcd(k, d_r).  Only the oracles
+loop over T.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from operator import index
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, free_flat_basis, homology_profile, torsion_elements
-from .linking import is_nondegenerate, linking_form, linking_matrix
+from .linking import _jordan_blocks, is_nondegenerate, linking_form, linking_matrix
 from .splitting import GluingData, _check_enumerable, per_manifold
 
 
@@ -53,7 +56,7 @@ class PhaseSum(Frozen):
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
         for ph, mult in items:
-            value = ph.value if isinstance(ph, PhaseQ) else frac_mod1(ph)
+            value = _phase_value(ph)
             mult = index(mult)
             if mult < 0:
                 raise ValueError("multiplicities must be nonnegative")
@@ -74,6 +77,11 @@ class PhaseSum(Frozen):
         if g > 1:
             den //= g
             counts = {n // g: m for n, m in counts.items()}
+        return cls._canonical(den, counts)
+
+    @classmethod
+    def _canonical(cls, den: int, counts: dict) -> "PhaseSum":
+        """_from_counts for counts already over their reduced denominator."""
         self = object.__new__(cls)
         self._set(den, counts)
         return self
@@ -93,13 +101,16 @@ class PhaseSum(Frozen):
         )
 
     def _numerator(self, phase):
-        """Numerator of phase over this sum's denominator, or None if it has none."""
-        if not isinstance(phase, PhaseQ):
-            return None
-        q, rem = divmod(self._den, phase.denominator)
-        return None if rem else phase.numerator * q
+        """Numerator of phase over this sum's denominator, or None if it has none.
 
-    def multiplicity(self, phase: PhaseQ) -> int:
+        phase is read as the constructor reads it: a PhaseQ, or anything
+        frac_mod1 takes, such as a Fraction or an int.
+        """
+        value = _phase_value(phase)
+        q, rem = divmod(self._den, value.denominator)
+        return None if rem else value.numerator * q
+
+    def multiplicity(self, phase) -> int:
         return self._counts.get(self._numerator(phase), 0)
 
     @property
@@ -123,6 +134,37 @@ class PhaseSum(Frozen):
                 n *= scale
                 merged[n] = merged.get(n, 0) + m
         return PhaseSum._from_counts(L, merged)
+
+    def __mul__(self, other: "PhaseSum") -> "PhaseSum":
+        """The product of the formal sums: one term α + β per pair of terms.
+
+        Its multiset is the convolution of the two, with multiplicities
+        multiplied.  For coprime denominators m and n, ℤ/mn ≅ ℤ/m × ℤ/n,
+        so distinct pairs land in distinct bins and the phases' reduced
+        denominators multiply: the bins are written once, with no merge
+        and no reduction.  Cost len(self)·len(other).
+        """
+        if not isinstance(other, PhaseSum):
+            return NotImplemented
+        if not (self._counts and other._counts):
+            return PhaseSum()
+        m, n = self._den, other._den
+        if gcd(m, n) == 1:
+            L = m * n
+            return PhaseSum._canonical(L, {
+                (a * n + b * m) % L: x * y
+                for a, x in self._counts.items() for b, y in other._counts.items()
+            })
+        L = lcm(m, n)
+        sa, sb = L // m, L // n
+        right = [(b * sb, y) for b, y in other._counts.items()]
+        acc = {}
+        for a, x in self._counts.items():
+            a *= sa
+            for b, y in right:
+                b = (a + b) % L
+                acc[b] = acc.get(b, 0) + x * y
+        return PhaseSum._from_counts(L, acc)
 
     def shift(self, phase: PhaseQ) -> "PhaseSum":
         """Multiply the whole sum by e^{2*pi*i*phase}."""
@@ -159,6 +201,11 @@ class PhaseSum(Frozen):
     def __repr__(self) -> str:
         inner = ", ".join(f"{ph}: {m}" for ph, m in self.items())
         return f"PhaseSum({{{inner}}})"
+
+
+def _phase_value(ph) -> Fraction:
+    """The reduced fraction in [0, 1) of a PhaseQ, or of anything frac_mod1 takes."""
+    return ph.value if isinstance(ph, PhaseQ) else frac_mod1(ph)
 
 
 def eval_numeric(S: PhaseSum) -> complex:
@@ -200,54 +247,88 @@ def _check_level(k: int):
         raise ValueError(f"level k must be a positive integer, got {k!r}")
 
 
-def _diag_quad_counts(dims, gram, L) -> Counter:
-    """Histogram of the Γ-quadratic form, scaled by L and reduced mod L.
+def _block_histogram(p: int, r: int, rows) -> PhaseSum:
+    """PhaseSum of Γ(x, x) over the r^n classes of one Jordan block.
 
-    Enumerates the torsion group with the last index innermost: for a
-    fixed prefix the form is base + lin·a + gram[r][r]·a², so the inner
-    loop is a single comprehension over a.
+    The bins of ⟨u/r⟩, r = p^f, are written in closed form.  The a = p^j·b
+    with p ∤ b and 2j < f have u·a² = u·p^{2j}·(b² mod k), k = r/p^{2j}.
+    For odd p, b ↦ b² is two-to-one on the cyclic units mod k, so each
+    unit b < k/2 gives its own bin, hit by 2·p^j of these a.  For p = 2
+    the unit squares mod k are the 1 + 8t for k ≥ 8, each hit by 4·2^j,
+    and just 1 for k ≤ 4, hit by (k/2)·2^j.  The a ≡ 0 mod p^{⌈f/2⌉}
+    give 0.  A 2-adic plane is enumerated.  Either way the block's r^n
+    classes are checked against _ENUMERATION_LIMIT first.
     """
-    *outer, last = dims
-    r = len(dims) - 1
-    squares = [gram[r][r] * a * a for a in range(last)]
-    out = Counter()
-    for prefix in product(*(range(d) for d in outer)):
-        base = 0
-        lin = 0
-        for i, ai in enumerate(prefix):
-            if ai:
-                row = gram[i]
-                base += row[i] * ai * ai
-                for j in range(i + 1, r):
-                    base += 2 * row[j] * ai * prefix[j]
-                lin += 2 * row[r] * ai
-        out.update([(base + lin * a + sq) % L for a, sq in enumerate(squares)])
-    return out
+    if len(rows) == 2:
+        _check_enumerable("Jordan plane order", r * r)
+        (s, t), (_, w) = rows
+        counts = Counter()
+        for a in range(r):
+            base, lin = s * a * a, 2 * t * a
+            counts.update([(base + lin * b + w * b * b) % r for b in range(r)])
+        return PhaseSum._from_counts(r, counts)
+    _check_enumerable("Jordan block order", r)
+    u = rows[0][0]  # a unit, so the bin of u·1² is too and r is already reduced
+    counts = {}
+    k, hits = r, 1  # hits = p^j
+    while k > 1:
+        if p != 2:
+            # a b divisible by p lands on a bin of a larger j, or on 0, and the
+            # later write of that bin sets its count
+            counts.update(dict.fromkeys([u * b * b % r for b in range(1, (k + 1) // 2)], 2 * hits))
+        elif k >= 8:
+            counts.update(dict.fromkeys([u * b % r for b in range(1, k, 8)], 4 * hits))
+        else:
+            counts[u % r] = k // 2 * hits
+        u, k, hits = u * p * p, k // (p * p), hits * p
+    counts[0] = r // hits
+    return PhaseSum._canonical(r, counts)
+
+
+def _jordan_histogram(dims, den: int, num) -> PhaseSum:
+    """PhaseSum of Γ(θ,θ) over θ ∈ ⊕ ℤ/dᵢ, Γ(genᵢ, genⱼ) = num[i][j]/den.
+
+    Γ(θ,θ) of an orthogonal sum is the sum of the parts' values, so the
+    histogram is the PhaseSum product of the histograms of the Jordan
+    blocks (linking._jordan_blocks).  The work is the classes of the
+    largest block and the bin pairs of each product, both at most |T|,
+    and each is checked against _ENUMERATION_LIMIT before it is spent.
+    """
+    hist = None
+    for p, r, rows in _jordan_blocks(dims, den, num):
+        block = _block_histogram(p, r, rows)
+        if hist is None:
+            hist = block
+        else:
+            _check_enumerable("block product bin pairs", len(hist) * len(block))
+            hist = hist * block
+    return hist if hist is not None else PhaseSum._canonical(1, {0: 1})
 
 
 @per_manifold
 def _cs_histogram(G: GluingData) -> PhaseSum:
     """PhaseSum of Γ(θ,θ) over the torsion classes, every level's source."""
-    profile = homology_profile(G)
-    if not profile.invariant_factors:
-        return PhaseSum._from_counts(1, {0: 1})
-    _check_enumerable("|T|", profile.torsion_order)
     lm = linking_matrix(G)
-    return PhaseSum._from_counts(lm.den, _diag_quad_counts(lm.dims, lm.num, lm.den))
+    return _jordan_histogram(lm.dims, lm.den, lm.num)
 
 
 def z_cs(G: GluingData, k: int) -> PhaseSum:
     """Exact CS partition sum: one term −k·Γ(θ,θ) per torsion class.
 
-    The torsion group is enumerated once per manifold into the histogram of
-    L·Γ(θ,θ) mod L kept on G (_cs_histogram); level k maps each bin n to
-    −k·n mod L.  The identity class contributes phase 0, so the sphere
-    normalizes to {0: 1}.  |T| above _ENUMERATION_LIMIT raises ValueError.
+    The histogram of Γ(θ,θ) over T is built once per manifold and kept on
+    G (_cs_histogram), as a product of Jordan blocks' histograms with no
+    loop over T (_jordan_histogram); level k maps each numerator n over
+    its denominator L to −k·n mod L.  For k prime to L that permutes bins
+    that are already reduced.  The identity class contributes phase 0,
+    so the sphere normalizes to {0: 1}.  A Jordan block or a product of
+    block histograms past _ENUMERATION_LIMIT raises ValueError.
     """
     _check_level(k)
     hist = _cs_histogram(G)
     L = hist._den
     mk = -k % L
+    if gcd(k, L) == 1:
+        return PhaseSum._canonical(L, {n * mk % L: c for n, c in hist._counts.items()})
     counts = {}
     for n, c in hist._counts.items():
         n = n * mk % L

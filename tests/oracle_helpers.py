@@ -5,6 +5,7 @@ definitions, not against the library code: no imports from the package, no
 shared helpers.  Slow on purpose; only run on small inputs.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -203,6 +204,32 @@ def bf_pair_histogram(dims, gram_num, L, k):
         phase = Fraction((-k * n) % L, L)
         hist[phase] = hist.get(phase, 0) + c
     return hist
+
+
+def diag_quad_counts(dims, gram_num, L):
+    """Histogram {n: count} of L·Γ(θ,θ) mod L over every θ = Σ a_i·gen_i.
+
+    dims are the orders of the generators and gram_num[i][j] / L their
+    linking numbers.  Enumerates the group with the last index innermost:
+    for a fixed prefix the form is base + lin·a + gram_num[r][r]·a², so
+    the inner loop is a single comprehension over a.
+    """
+    *outer, last = dims
+    r = len(dims) - 1
+    squares = [gram_num[r][r] * a * a for a in range(last)]
+    out = Counter()
+    for prefix in product(*(range(d) for d in outer)):
+        base = 0
+        lin = 0
+        for i, ai in enumerate(prefix):
+            if ai:
+                row = gram_num[i]
+                base += row[i] * ai * ai
+                for j in range(i + 1, r):
+                    base += 2 * row[j] * ai * prefix[j]
+                lin += 2 * row[r] * ai
+        out.update([(base + lin * a + sq) % L for a, sq in enumerate(squares)])
+    return out
 
 
 def radical_order_scan(dims, gram_num, L):

@@ -238,6 +238,23 @@ def test_criterion_07_structural_invariance(corpus):
     )
 
 
+def test_connected_sum_is_the_exact_product(corpus):
+    """Z_CS(G₁ # G₂) = Z_CS(G₁)·Z_CS(G₂) as PhaseSums, not just as numbers.
+
+    Criterion 7 checks the law numerically; here the two sides must be
+    equal formal sums, on consecutive corpus pairs and on lens pairs.
+    """
+    pairs = list(zip(corpus[::2], corpus[1::2]))
+    pairs += [(lens(p, q), lens(p2, q2)) for p, q, p2, q2 in
+              ((5, 2, 5, 3), (8, 3, 12, 5), (9, 2, 27, 4), (16, 1, 16, 7), (7, 1, 49, 3), (1, 0, 0, 1))]
+    checked = 0
+    for i, (G1, G2) in enumerate(pairs):
+        for k in (1 + i % 5, 6):
+            assert z_cs(connected_sum(G1, G2), k) == z_cs(G1, k) * z_cs(G2, k)
+            checked += 1
+    print(f"connected sum: PASS Z_CS(G1 # G2) == Z_CS(G1) * Z_CS(G2) exactly on {checked} sums")
+
+
 def test_criterion_08_oracle_triangle(corpus):
     manifolds = [lens(0, 1)]
     manifolds += [G for G in corpus if homology_profile(G).b1 >= 1]

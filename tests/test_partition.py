@@ -1,12 +1,14 @@
 import cmath
 import copy
 import pickle
+import random
 import re
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, pi, sqrt
+from math import gcd, lcm, pi, prod, sqrt
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -34,7 +36,7 @@ from heegaard.splitting import (
     matrix_to_blocks,
     random_splitting,
 )
-from oracle_helpers import bf_pair_histogram, fsum_phase_value, mobius
+from oracle_helpers import bf_pair_histogram, diag_quad_counts, fsum_phase_value, mobius
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 120), st.sampled_from([0, 3, 6, 10])
@@ -88,6 +90,27 @@ def test_phase_sum_algebra():
     conj = s.conjugate()
     assert conj == PhaseSum([(Fraction(3, 4), 1), (0, 2)])
     assert s.conjugate().conjugate() == s
+
+
+def test_phase_sum_lookup_reads_phases_as_the_constructor_does():
+    s = z_cs(lens(5, 1), 1)
+    assert Fraction(1, 5) in s and s.multiplicity(Fraction(1, 5)) == 2
+    assert Fraction(6, 5) in s and s.multiplicity(Fraction(-4, 5)) == 2
+    assert 0 in s and 3 in s and s.multiplicity(0) == 1
+    assert Fraction(1, 3) not in s and s.multiplicity(Fraction(1, 3)) == 0
+    assert Fraction(2, 5) not in s and s.multiplicity(Fraction(2, 5)) == 0
+    assert Fraction(1, 2) not in PhaseSum() and PhaseSum().multiplicity(Fraction(1, 2)) == 0
+
+
+def test_phase_sum_product_pinned():
+    s = PhaseSum([(Fraction(1, 2), 1), (0, 1)])
+    t = PhaseSum([(Fraction(1, 3), 2), (0, 1)])
+    assert s * t == PhaseSum([(0, 1), (Fraction(1, 3), 2), (Fraction(1, 2), 1), (Fraction(5, 6), 2)])
+    assert s * s == PhaseSum([(0, 2), (Fraction(1, 2), 2)])
+    # a denominator that cancels: 1/4 + 3/4 = 0
+    u = PhaseSum([(Fraction(1, 4), 1)])
+    assert u * PhaseSum([(Fraction(3, 4), 5)]) == PhaseSum({PhaseQ(0): 5})
+    assert s * PhaseSum() == PhaseSum() == PhaseSum() * s
 
 
 def test_phase_sum_from_phases():
@@ -199,13 +222,13 @@ def test_z_cs_term_values_match_literal_loop():
 
 def test_z_cs_enumerates_once_per_manifold(monkeypatch):
     calls = []
-    enumerate_classes = partition._diag_quad_counts
+    build = partition._jordan_histogram
 
     def counting(*args):
         calls.append(args)
-        return enumerate_classes(*args)
+        return build(*args)
 
-    monkeypatch.setattr(partition, "_diag_quad_counts", counting)
+    monkeypatch.setattr(partition, "_jordan_histogram", counting)
     G = lens(7, 3)
     for k in range(1, 7):
         z_cs(G, k)
@@ -233,7 +256,8 @@ def test_pipeline_keeps_no_reference_to_the_manifold():
 def test_enumeration_limit_raises_instead_of_allocating():
     G = lens(10**9, 1)
     limit = _ENUMERATION_LIMIT
-    for fn, size in ((z_cs, "|T| = 1000000000"), (z_bf, "d_r = 1000000000")):
+    # ℤ/10⁹ splits into the Jordan blocks ℤ/2⁹ and ℤ/5⁹; the second is past the limit
+    for fn, size in ((z_cs, "Jordan block order = 1953125"), (z_bf, "d_r = 1000000000")):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(f"{size} exceeds the enumeration limit {limit}")):
             fn(G, 1)
@@ -243,6 +267,13 @@ def test_enumeration_limit_raises_instead_of_allocating():
     assert is_nondegenerate(cube)
     S = z_bf(cube, 1)
     assert S.total_terms == 10**18 and len(S) == 1000
+    assert z_cs(cube, 1).total_terms == 10**9
+
+
+def test_z_cs_refuses_a_denominator_with_only_large_primes():
+    G = lens(1000003 * 1000033, 1)
+    with pytest.raises(ValueError, match=re.escape(f"every prime factor of {1000003 * 1000033} exceeds")):
+        z_cs(G, 1)
 
 
 def test_oracles_refuse_past_enumeration_limit():
@@ -261,6 +292,154 @@ def test_level_validation():
             z_cs(lens(5, 1), bad)
         with pytest.raises(ValueError):
             z_bf(lens(5, 1), bad)
+
+
+# ------------------------------------------------------- Jordan splitting
+
+
+def primary_block(p, kind, e, u=1):
+    """(orders, gram) of one raw p-primary form, gram entries in Q/Z.
+
+    ⟨u/pᵉ⟩ on ℤ/pᵉ, or on (ℤ/pᵉ)² the plane E₀ᵉ = [[0, 1], [1, 0]]/pᵉ or
+    E₁ᵉ = [[2, 1], [1, 2]]/pᵉ.  E₁ᵉ is used for p = 2 only, and for odd p
+    E₀ᵉ ≅ ⟨1/pᵉ⟩ ⊕ ⟨−1/pᵉ⟩ has no unit on its diagonal, so it reaches the
+    off-diagonal pivot.
+    """
+    q = p**e
+    if kind == "diag":
+        return [q], [[Fraction(u, q)]]
+    d = 0 if kind == "E0" else 2
+    return [q, q], [[Fraction(d, q), Fraction(1, q)], [Fraction(1, q), Fraction(d, q)]]
+
+
+def in_random_basis(blocks, rng):
+    """(dims, den, num) of the orthogonal sum of blocks in a random basis.
+
+    Each new generator is an integer vector over the blocks' generators.
+    The moves are automorphisms: x_a += c·x_b with c·ord(x_a) a multiple
+    of ord(x_b), x_a *= a unit, a swap, and x_a, x_b ↦ x_a + x_b when the
+    two orders are coprime, which drops a generator.
+    """
+    orders, gram = [], []
+    for o, g in blocks:
+        n = len(orders)
+        gram = [row + [Fraction(0)] * len(o) for row in gram]
+        gram += [[Fraction(0)] * n + row for row in g]
+        orders += o
+    n = len(orders)
+    gens = [[int(i == j) for j in range(n)] for i in range(n)]
+    dims = orders[:]
+    for _ in range(rng.randrange(4 * n + 1)):
+        a, b = rng.randrange(len(gens)), rng.randrange(len(gens))
+        move = rng.randrange(4)
+        if a == b or move == 0:
+            u = rng.choice([x for x in range(1, dims[a] + 1) if gcd(x, dims[a]) == 1])
+            gens[a] = [u * x for x in gens[a]]
+        elif move == 1:
+            gens[a], gens[b], dims[a], dims[b] = gens[b], gens[a], dims[b], dims[a]
+        elif move == 2 and gcd(dims[a], dims[b]) == 1:
+            gens[a] = [x + y for x, y in zip(gens[a], gens[b])]
+            dims[a] *= dims[b]
+            del gens[b], dims[b]
+        else:
+            c = rng.randrange(-3, 4) * dims[b] // gcd(dims[a], dims[b])
+            gens[a] = [x + c * y for x, y in zip(gens[a], gens[b])]
+    for y, d in zip(gens, dims):
+        assert lcm(*(o // gcd(o, x) for o, x in zip(orders, y))) == d
+    form = [
+        [sum(x * gram[s][t] * z for s, x in enumerate(y) for t, z in enumerate(w)) % 1 for w in gens]
+        for y in gens
+    ]
+    den = lcm(*(v.denominator for row in form for v in row))
+    return dims, den, [[int(v * den) for v in row] for row in form]
+
+
+def assert_jordan_matches_scan(dims, den, num):
+    """The library histogram equals the test-side enumeration; returns the blocks split off."""
+    with mock.patch.object(partition, "_block_histogram", wraps=partition._block_histogram) as spy:
+        got = partition._jordan_histogram(dims, den, num)
+    counts = diag_quad_counts(dims, num, den)
+    assert got == PhaseSum({Fraction(n, den): c for n, c in counts.items()})
+    assert got.total_terms == prod(dims)
+    return [(call.args[0], call.args[1], len(call.args[2])) for call in spy.call_args_list]
+
+
+def _unit(p, e):
+    return st.integers(1, p**e - 1).filter(lambda u: u % p)
+
+
+raw_block = st.one_of(
+    st.tuples(st.just(2), st.sampled_from(["diag", "E0", "E1"]), st.integers(1, 4)).flatmap(
+        lambda t: st.tuples(*map(st.just, t), _unit(2, t[2]))
+    ),
+    st.tuples(st.sampled_from([3, 5, 7]), st.sampled_from(["diag", "E0"]), st.integers(1, 3)).flatmap(
+        lambda t: st.tuples(*map(st.just, t), _unit(t[0], t[2]))
+    ),
+)
+
+
+@given(st.lists(raw_block, min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_jordan_splitting_matches_enumeration_on_raw_forms(raw, rng):
+    blocks = [primary_block(*b) for b in raw]
+    assume(prod(prod(o) for o, _ in blocks) <= 5000)
+    dims, den, num = in_random_basis(blocks, rng)
+    assert den == lcm(*dims)
+    split = assert_jordan_matches_scan(dims, den, num)
+    # a 2-part of planes only is even: no element of order 2ᶠ has Γ(x,x) of order 2ᶠ,
+    # so it can only split into planes, whatever the basis
+    if all(kind != "diag" for p, kind, *_ in raw if p == 2):
+        assert all(n == 2 for p, _, n in split if p == 2)
+
+
+def test_jordan_splitting_reaches_the_plane_branch():
+    rng = random.Random(2718)
+    planes = 0
+    for e in (1, 2, 3, 4):
+        for kinds in (["E0"], ["E1"], ["E0", "E1"], ["E1", "E1"]):
+            if 4 ** (e * len(kinds)) > 5000:
+                continue
+            for _ in range(3):
+                blocks = [primary_block(2, kind, e) for kind in kinds] + [primary_block(3, "diag", 1, 2)]
+                split = assert_jordan_matches_scan(*in_random_basis(blocks, rng))
+                assert [(r, n) for p, r, n in split if p == 2] == [(2**e, 2)] * len(kinds)
+                planes += len(kinds)
+    # mixed scales: E₀¹ ⊕ E₁² ⊕ ⟨3/8⟩
+    blocks = [primary_block(2, "E0", 1), primary_block(2, "E1", 2), primary_block(2, "diag", 3, 3)]
+    split = assert_jordan_matches_scan(*in_random_basis(blocks, rng))
+    assert sorted((r, n) for _, r, n in split) == [(2, 2), (4, 2), (8, 1)]
+    assert planes >= 30
+
+
+def test_jordan_splitting_refuses_degenerate_forms():
+    # den below the exponent: ℤ/2 with the zero form
+    with pytest.raises(ValueError, match="degenerate"):
+        partition._jordan_histogram((2,), 1, ((0,),))
+    # den is the exponent, but ℤ/2 ⊕ ℤ/4 with ⟨1/4⟩ ⊕ 0 pairs the ℤ/2 to zero
+    with pytest.raises(ValueError, match="degenerate"):
+        partition._jordan_histogram((2, 4), 4, ((0, 0), (0, 1)))
+    # an odd prime: ℤ/3 ⊕ ℤ/9 with ⟨1/9⟩ ⊕ 0
+    with pytest.raises(ValueError, match="degenerate"):
+        partition._jordan_histogram((3, 9), 9, ((0, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("n, units", [(1000, (3, 7, 11)), (1024, (1, 3, 5))])
+def test_z_cs_past_the_old_enumeration_ceiling(n, units):
+    """(ℤ/n)³ as L(n, q₁) # L(n, q₂) # L(n, q₃): |T| ~ 10⁹, against three Gauss sums.
+
+    The product of three direct Gauss sums has modulus up to n^{3/2}·2^{3/2};
+    each is a sum of n unit terms, so 1e-9 relative to max(1, |Z|) leaves
+    a wide margin over their roundoff.  ℤ/1024 goes through the 2-adic
+    splitting only.
+    """
+    t0 = time.perf_counter()
+    G = connected_sum(connected_sum(lens(n, units[0]), lens(n, units[1])), lens(n, units[2]))
+    assert homology_profile(G).torsion_order == n**3 > _ENUMERATION_LIMIT
+    for k in (1, 2, 3):
+        S = z_cs(G, k)
+        assert S.total_terms == n**3
+        want = prod(gauss_sum_oracle(n, q, k) for q in units)
+        assert abs(eval_numeric(S) - want) <= 1e-9 * max(1.0, abs(want))
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -------------------------------------------------------------------- z_bf
@@ -553,9 +732,27 @@ def test_phase_sum_agrees_with_counter_model(a, b, s, probes):
     assert_matches_model(A + B, ma + mb)
     assert_matches_model(A.shift(PhaseQ(s)), Counter({frac_mod1(v + s): m for v, m in ma.items()}))
     assert_matches_model(A.conjugate(), Counter({frac_mod1(-v): m for v, m in ma.items()}))
+    product_model = Counter()
+    for v, m in ma.items():
+        for w, n in mb.items():
+            product_model[frac_mod1(v + w)] += m * n
+    assert_matches_model(A * B, product_model)
     for x in probes + [v for v, _ in a]:
-        assert A.multiplicity(PhaseQ(x)) == ma[frac_mod1(x)]
-        assert (PhaseQ(x) in A) == (frac_mod1(x) in ma)
+        for probe in (PhaseQ(x), x):
+            assert A.multiplicity(probe) == ma[frac_mod1(x)]
+            assert (probe in A) == (frac_mod1(x) in ma)
+
+
+@given(phase_terms, phase_terms, phase_terms)
+def test_phase_sum_product_laws(a, b, c):
+    A, B, C = PhaseSum(a), PhaseSum(b), PhaseSum(c)
+    one, empty = PhaseSum({PhaseQ(0): 1}), PhaseSum()
+    assert A * B == B * A
+    assert (A * B) * C == A * (B * C)
+    assert A * one == A == one * A
+    assert (A * B).total_terms == A.total_terms * B.total_terms
+    assert A * empty == empty == empty * A
+    assert A * (B + C) == A * B + A * C
 
 
 weighted_terms = st.lists(st.tuples(rationals, st.integers(1, 20)), max_size=40)
