@@ -37,6 +37,7 @@ from .partition import (
     z_cs,
 )
 from .splitting import (
+    _ENUMERATION_LIMIT,
     GluingData,
     ValidationError,
     connected_sum,
@@ -318,15 +319,15 @@ def _oracle(G, ns) -> dict:
         q = G.Q[0, 0] * (1 if G.P[0, 0] > 0 else -1)
         checks.append(_check("gauss_sum", gauss_sum_oracle(p, q, k), cs_num, 1e-9))
 
+    skip = None
     if prof.b1 > 3:
-        checks.append({"name": "free_mode_grid", "skipped": f"b1 = {prof.b1} exceeds 3"})
+        skip = f"b1 = {prof.b1} exceeds 3"
     elif prof.b1 >= 1 and _free_pairing_degenerate(G):
-        checks.append(
-            {
-                "name": "free_mode_grid",
-                "skipped": "free-mode/curvature pairing is degenerate; no grid separates the window",
-            }
-        )
+        skip = "free-mode/curvature pairing is degenerate; no grid separates the window"
+    elif prof.torsion_order > _ENUMERATION_LIMIT:  # the grid oracle loops over T
+        skip = f"|T| = {prof.torsion_order} exceeds the enumeration limit {_ENUMERATION_LIMIT}"
+    if skip:
+        checks.append({"name": "free_mode_grid", "skipped": skip})
     else:
         grid_n, m_window, grid_val = _grid_oracle_with_retries(G, k)
         checks.append(

@@ -8,7 +8,7 @@ in Q/Z with a canonical reduced representative in [0, 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, index, mul, sub
+from operator import add, attrgetter, index, mul, sub
 from typing import Iterable, Sequence
 
 # Exact rational scalar used throughout the package.  Always stored in
@@ -33,20 +33,21 @@ def vec_dot(u: Sequence, v: Sequence):
 class Frozen:
     """Base of the package's immutable value types.
 
-    Assignment and del raise AttributeError.  A subclass names its fields
-    in __slots__ and writes them once, with _init.  Equality and hash
-    compare the type and _key(), which is every slot unless overridden.
-    Pickling and copying rebuild an instance from its slots without
-    running __init__.
-
-    IntMatrix, PhaseQ, PhaseSum and GluingData are built and compared in
-    the inner loops, so they write their slots directly and keep their own
-    __eq__ and __hash__.  The generic paths cost, per call on a 2-vCPU VM
-    under CPython 3.11: IntMatrix == 0.56 -> 2.15 us, GluingData hash
-    1.5 -> 4.8 us, a trusted IntMatrix build 0.96 -> 1.79 us.
+    A subclass names its fields in __slots__ and writes each once, with
+    _init or, on the hot constructors, object.__setattr__ directly;
+    assignment and del then raise AttributeError.  Equality and hash read
+    the compared fields through one operator.attrgetter per class, _key:
+    every slot, unless the class statement names fewer with compared=
+    (dotted paths allowed).  Values of different types never compare
+    equal.  Pickling and copying rebuild an instance from all of its slots
+    without running __init__.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, compared=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*(compared or cls.__slots__))
 
     def _init(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -59,16 +60,13 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return _rebuild, (type(self), Frozen._key(self))
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, n) for n in self.__slots__)
+        return _rebuild, (type(self), tuple(getattr(self, n) for n in self.__slots__))
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
+        return type(other) is type(self) and self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return hash((type(self), self._key()))
+        return hash(self._key(self))
 
 
 def _rebuild(cls, values):
@@ -203,26 +201,18 @@ class IntMatrix(Frozen):
 
     # ----- protocol -----------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         return f"IntMatrix({list(list(r) for r in self.to_rows())!r})"
 
 
-class PhaseQ(Frozen):
+class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
     """A point of Q/Z written as the reduced fraction in [0, 1).
 
     Represents the unit phase e^{2*pi*i*value}.  Addition is mod 1, every
     element has finite order, and equality/hashing are exact, which is what
-    lets phase multisets deduplicate reliably.
+    lets phase multisets deduplicate reliably.  Both read the reduced
+    numerator and denominator, whose tuple hashes much faster than a
+    Fraction.
     """
 
     __slots__ = ("value",)
@@ -264,16 +254,8 @@ class PhaseQ(Frozen):
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PhaseQ) and self.value == other.value
-
     def __lt__(self, other: "PhaseQ") -> bool:
         return self.value < other.value
-
-    def __hash__(self) -> int:
-        # hash((num, den)) is much cheaper than Fraction.__hash__ and only
-        # needs to be consistent with __eq__, which admits PhaseQ alone
-        return hash((self.value.numerator, self.value.denominator))
 
     def __repr__(self) -> str:
         return f"PhaseQ({self.value})"

@@ -15,7 +15,7 @@ from .exact import Frozen, SmithDecomposition, frac_mod1, integer_kernel, smith_
 from .splitting import GluingData, per_manifold
 
 
-class HomologyProfile(Frozen):
+class HomologyProfile(Frozen, compared=("b1", "invariant_factors")):
     """Free rank, invariant factors, torsion columns, and their Smith data.
 
     The invariant factors d_1 | ... | d_r sit on the Smith diagonal of P
@@ -35,9 +35,6 @@ class HomologyProfile(Frozen):
             tuple(x % d for x in vinv.col(first + i)) for i, d in enumerate(factors)
         )
         self._init(b1, factors, prod(factors, start=1), columns, snf_of_P)
-
-    def _key(self) -> tuple:
-        return (self.b1, self.invariant_factors)
 
     def kernel_count(self, k: int) -> int:
         """|{theta in T : k.theta = 0}| = prod of gcd(k, d_i), the k-torsion count."""

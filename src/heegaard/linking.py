@@ -20,20 +20,28 @@ from .splitting import _ENUMERATION_LIMIT, GluingData, per_manifold
 class LinkingMatrix(Frozen):
     """The torsion linking form of one manifold over its SNF generators.
 
-    dims holds the invariant factors d_1 | ... | d_r and generators the
-    canonical representative of each unit multi-index.  The form is kept
-    as integers: den is the lcm of the entries' reduced denominators (1
-    when r = 0) and num[i][j], with 0 <= num[i][j] < den, is
-    den * Gamma(gen_i, gen_j), so sums over the group can run in integer
-    arithmetic mod den.  gram holds the same entries as PhaseQ.
+    dims holds the invariant factors d_1 | ... | d_r and columns the
+    torsion columns c_i of homology_profile, so gen_i = c_i / d_i.  The
+    form is held once, as integers: den is the lcm of the entries' reduced
+    denominators (1 when r = 0) and num[i][j], with 0 <= num[i][j] < den,
+    is den * Gamma(gen_i, gen_j), so sums over the group run in integer
+    arithmetic mod den.  gram (the entries as PhaseQ) and generators (the
+    gen_i as TorsionRep) are views built on each read.
     """
 
-    __slots__ = ("dims", "den", "num", "generators", "gram")
+    __slots__ = ("dims", "den", "num", "columns")
 
-    def __init__(self, dims, den: int, num, generators):
-        num = tuple(tuple(row) for row in num)
-        gram = tuple(tuple(PhaseQ._wrap(Fraction(x, den)) for x in row) for row in num)
-        self._init(tuple(dims), den, num, tuple(generators), gram)
+    def __init__(self, dims, den: int, num, columns):
+        self._init(tuple(dims), den, tuple(map(tuple, num)), tuple(map(tuple, columns)))
+
+    @property
+    def gram(self) -> tuple:
+        den = self.den
+        return tuple(tuple(PhaseQ._wrap(Fraction(x, den)) for x in row) for row in self.num)
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(TorsionRep(Fraction(x, d) for x in c) for c, d in zip(self.columns, self.dims))
 
     def __repr__(self) -> str:
         rows = [[str(ph) for ph in row] for row in self.gram]
@@ -84,8 +92,7 @@ def linking_matrix(G: GluingData) -> LinkingMatrix:
         fracs.append(row)
     den = lcm(*(d for row in fracs for _, d in row))
     num = [[n * (den // d) for n, d in row] for row in fracs]
-    gens = [TorsionRep(Fraction(x, d) for x in c) for c, d in zip(columns, dims)]
-    return LinkingMatrix(dims, den, num, gens)
+    return LinkingMatrix(dims, den, num, columns)
 
 
 def _radical_order(dims, L: int, g) -> int:
@@ -211,10 +218,13 @@ def _jordan_blocks(dims, den: int, num) -> list:
     of dᵢ, with gram cᵢcⱼ·num[i][j]/den = A[i][j]/q, q the p-part of den;
     m = den/q divides cᵢcⱼ·num[i][j] because Γ(xᵢ, xⱼ) has p-power order.
     A nondegenerate form has den equal to the exponent lcm(dᵢ) of the
-    group; a smaller den raises ValueError.
+    group and, in rank 1, a unit num[0][0]; a form that lacks either
+    raises ValueError, as _split_primary does on the other degenerate ones.
     """
     if den != lcm(*dims):
         raise ValueError("linking form is degenerate: its denominator is below the exponent of the group")
+    if len(dims) == 1 and gcd(num[0][0], den) != 1:
+        raise ValueError(f"linking form is degenerate: {num[0][0]} is not a unit mod {den}")
     out = []
     for p, q in _primary_parts(den):
         m = den // q

@@ -32,11 +32,11 @@ from operator import index
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, free_flat_basis, homology_profile, torsion_elements
-from .linking import _jordan_blocks, is_nondegenerate, linking_form, linking_matrix
+from .linking import _jordan_blocks, _primary_parts, is_nondegenerate, linking_form, linking_matrix
 from .splitting import GluingData, _check_enumerable, per_manifold
 
 
-class PhaseSum(Frozen):
+class PhaseSum(Frozen, compared=("_den", "_counts")):
     """Exact formal sum of unit phases: a map PhaseQ -> multiplicity >= 1.
 
     Represents sum over terms of multiplicity * e^{2*pi*i*phase}.  Stored
@@ -188,13 +188,6 @@ class PhaseSum(Frozen):
             out[f"{n // g}/{L // g}"] = self._counts[n]
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PhaseSum)
-            and self._den == other._den
-            and self._counts == other._counts
-        )
-
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._counts.items())))
 
@@ -337,16 +330,15 @@ def z_cs(G: GluingData, k: int) -> PhaseSum:
 
 
 def _divisors(n: int) -> list:
-    """Positive divisors of n in increasing order, by trial division to √n."""
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    """Positive divisors of n in increasing order, from its prime powers."""
+    divisors = [1]
+    for p, q in _primary_parts(n):
+        layer = divisors
+        while q > 1:
+            layer = [d * p for d in layer]
+            divisors += layer
+            q //= p
+    return sorted(divisors)
 
 
 def _peel(divisors, f) -> dict:

@@ -92,13 +92,15 @@ def block_relation_violations(r, p, s, q) -> list:
     return out
 
 
-class GluingData(Frozen):
+class GluingData(Frozen, compared=("genus", "R.entries", "P.entries", "S.entries", "Q.entries")):
     """Validated gluing blocks of a genus-g Heegaard splitting.
 
     Construction runs the full six-relation validation and raises
     ValidationError otherwise, so every live instance is valid.  Instances
-    are immutable and hashable, for use as dict or set keys; invariants
-    derived from them live on the instance (per_manifold), outside its value.
+    are immutable and hashable, for use as dict or set keys, and compare
+    the genus and the blocks' entries, whose shape the genus fixes;
+    invariants derived from them live on the instance (per_manifold),
+    outside its value.
     """
 
     __slots__ = ("genus", "R", "P", "S", "Q", "_memo")
@@ -145,19 +147,6 @@ class GluingData(Frozen):
             self.S.transpose(),
             -self.R.transpose(),
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GluingData)
-            and self.genus == other.genus
-            and self.R == other.R
-            and self.P == other.P
-            and self.S == other.S
-            and self.Q == other.Q
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.genus, self.R, self.P, self.S, self.Q))
 
     def __repr__(self) -> str:
         return (

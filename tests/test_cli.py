@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 import heegaard
 import heegaard.splitting as splitting
 from heegaard.cli import parse_manifold, run, serialize_manifold
-from heegaard.splitting import GluingData, ValidationError, lens, random_splitting
+from heegaard.splitting import GluingData, ValidationError, connected_sum, lens, random_splitting
 from oracle_helpers import minor_gcd_diagonal
 
 
@@ -366,6 +366,23 @@ def test_oracle_subcommand_on_degenerate_pairing(capture, tmp_path):
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
     assert "skipped" in checks["free_mode_grid"]
+
+
+def test_oracle_skips_the_grid_past_the_enumeration_limit(capture, tmp_path):
+    # (ℤ/1000)³: Z_CS and Z_BF answer, the grid oracle's loop over T would not
+    cube = connected_sum(connected_sum(lens(1000, 3), lens(1000, 7)), lens(1000, 11))
+    path = tmp_path / "cube.json"
+    path.write_text(serialize_manifold(cube, "cube"))
+    code, out, err = capture("oracle", str(path), "--level", "1")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    checks = {c["name"]: c for c in res["checks"]}
+    assert checks["bf_closed_form"]["agrees"] is True
+    assert checks["free_mode_grid"] == {
+        "name": "free_mode_grid",
+        "skipped": "|T| = 1000000000 exceeds the enumeration limit 1000000",
+    }
+    assert res["all_agree"] is True
 
 
 def test_help_exits_zero(capture):

@@ -5,7 +5,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heegaard import linking
+from heegaard import linking, partition
 from heegaard.exact import PhaseQ
 from heegaard.homology import free_flat_basis, homology_profile, torsion_elements
 from heegaard.linking import (
@@ -14,9 +14,9 @@ from heegaard.linking import (
     linking_form,
     linking_matrix,
 )
-from heegaard.partition import z_cs
+from heegaard.partition import PhaseSum, z_cs
 from heegaard.splitting import connected_sum, lens, random_splitting, stabilize
-from oracle_helpers import radical_order_scan
+from oracle_helpers import diag_quad_counts, radical_order_scan
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 150), st.sampled_from([0, 3, 6, 10, 15])
@@ -114,6 +114,19 @@ def divisor_chains_with_grams(draw):
 def test_radical_order_matches_scan(case):
     dims, L, g = case
     assert _radical_order(dims, L, g) == radical_order_scan(dims, g, L)
+
+
+@settings(max_examples=300)
+@given(divisor_chains_with_grams())
+def test_jordan_splitting_decides_degeneracy_as_the_scan(case):
+    dims, L, g = case
+    if radical_order_scan(dims, g, L) != 1:
+        with pytest.raises(ValueError, match="degenerate"):
+            partition._jordan_histogram(dims, L, g)
+    else:
+        counts = diag_quad_counts(dims, g, L)
+        want = PhaseSum({Fraction(n, L): c for n, c in counts.items()})
+        assert partition._jordan_histogram(dims, L, g) == want
 
 
 def assert_nondegenerate_by_scan(G):

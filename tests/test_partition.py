@@ -17,7 +17,7 @@ import heegaard.partition as partition
 from heegaard.exact import IntMatrix, PhaseQ, frac_mod1, smith_normal_form
 from heegaard.fields import FiniteDBClass
 from heegaard.homology import TorsionRep, homology_profile, torsion_elements
-from heegaard.linking import is_nondegenerate, linking_matrix
+from heegaard.linking import _jordan_blocks, is_nondegenerate, linking_matrix
 from heegaard.partition import (
     PhaseSum,
     eval_numeric,
@@ -168,6 +168,89 @@ def test_unpickled_manifold_starts_with_empty_memo():
     H = pickle.loads(pickle.dumps(G))
     assert H == G and H._memo == {}
     assert z_cs(H, 1) == z_cs(G, 1)
+
+
+# every slot of each value type: True if equality and hash read it
+COMPARED_SLOTS = {
+    "IntMatrix": {"rows": True, "cols": True, "entries": True},
+    "PhaseQ": {"value": True},
+    "PhaseSum": {"_den": True, "_counts": True, "_numeric": False},
+    "GluingData": {"genus": True, "R": True, "P": True, "S": True, "Q": True, "_memo": False},
+    "SmithDecomposition": {"U": True, "D": True, "V": True, "v_inverse": True},
+    "HomologyProfile": {
+        "b1": True,
+        "invariant_factors": True,
+        "torsion_order": False,
+        "torsion_columns": False,
+        "snf_of_P": False,
+    },
+    "TorsionRep": {"theta": True},
+    "LinkingMatrix": {"dims": True, "den": True, "num": True, "columns": True},
+    "FiniteDBClass": {
+        "G": True,
+        "m": True,
+        "theta_f": True,
+        "theta_t": True,
+        "holonomy": True,
+        "smooth_self": True,
+    },
+}
+
+
+def value_samples():
+    G = random_splitting(2, 5, 12)
+    return [
+        IntMatrix.from_rows([[2, -1], [10**30, 0]]),
+        PhaseQ(Fraction(3, 7)),
+        z_cs(lens(7, 3), 2),
+        G,
+        smith_normal_form(IntMatrix.from_rows([[4, 6], [2, -8]])),
+        homology_profile(G),
+        TorsionRep([Fraction(1, 3), 0]),
+        linking_matrix(G),
+        FiniteDBClass(lens(0, 1), m=[3], theta_f=[Fraction(1, 2)], smooth_self=2),
+    ]
+
+
+def with_slots(x, **slots):
+    """A copy of the value x with the named slots overwritten."""
+    y = copy.copy(x)
+    for name, value in slots.items():
+        object.__setattr__(y, name, value)
+    return y
+
+
+@pytest.mark.parametrize("index", range(9), ids=list(COMPARED_SLOTS))
+def test_equality_reads_exactly_the_compared_fields(index):
+    x = value_samples()[index]
+    compared = COMPARED_SLOTS[type(x).__name__]
+    assert set(compared) == set(type(x).__slots__)
+    for name, is_compared in compared.items():
+        value = getattr(x, name)
+        if isinstance(value, IntMatrix):  # same shape, other entries: GluingData compares entries
+            others = [IntMatrix._of(value.rows, value.cols, tuple(e + 1 for e in value.entries))]
+        elif isinstance(x, PhaseQ):  # 3/7 against 2/7 and 3/8: numerator, denominator
+            others = [Fraction(2, 7), Fraction(3, 8)]
+        else:
+            others = [object()]
+        for other in others:
+            y = with_slots(x, **{name: other})
+            if is_compared:
+                assert y != x and x != y
+            else:
+                assert y == x and hash(y) == hash(x)
+
+
+def test_values_of_different_types_never_compare_equal():
+    values = value_samples()
+    for x in values:
+        for y in values:
+            assert (x == y) == (x is y)
+    # equal keys, different types
+    smith = smith_normal_form(IntMatrix.from_rows([[4, 6], [2, -8]]))
+    lm = with_slots(linking_matrix(lens(5, 2)), dims=smith.U, den=smith.D, num=smith.V, columns=smith.v_inverse)
+    assert lm._key(lm) == smith._key(smith)
+    assert lm != smith and smith != lm
 
 
 def test_eval_numeric_pinned():
@@ -420,6 +503,10 @@ def test_jordan_splitting_refuses_degenerate_forms():
     # an odd prime: ℤ/3 ⊕ ℤ/9 with ⟨1/9⟩ ⊕ 0
     with pytest.raises(ValueError, match="degenerate"):
         partition._jordan_histogram((3, 9), 9, ((0, 0), (0, 1)))
+    # rank 1, den the exponent, but the one entry is not a unit
+    for case in [((22,), 22, ((6,),)), ((16,), 16, ((8,),)), ((4,), 4, ((0,),))]:
+        with pytest.raises(ValueError, match="degenerate"):
+            partition._jordan_histogram(*case)
 
 
 @pytest.mark.parametrize("n, units", [(1000, (3, 7, 11)), (1024, (1, 3, 5))])
@@ -493,6 +580,16 @@ def test_z_bf_matches_pair_oracle_random(params, k):
     if homology_profile(G).torsion_order > 300:
         return
     assert_z_bf_matches_pair_oracle(G, k)
+
+
+def test_divisors_match_a_sieve():
+    bound = 5000
+    sieve = [[] for _ in range(bound)]
+    for d in range(1, bound):
+        for n in range(d, bound, d):
+            sieve[n].append(d)
+    for n in range(1, bound):
+        assert partition._divisors(n) == sieve[n]
 
 
 def test_z_bf_returns_one_object_per_gcd_class(corpus):
@@ -602,6 +699,15 @@ def handlebody_move(data, g) -> IntMatrix:
     return blocks_to_matrix(A, IntMatrix.zeros(g, g), Ainv_t @ sym, Ainv_t)
 
 
+def jordan_scale_ranks(G) -> Counter:
+    """{(p, r): summed rank of the Jordan blocks of the linking form at scale r = pᶠ}."""
+    lm = linking_matrix(G)
+    ranks = Counter()
+    for p, r, rows in _jordan_blocks(lm.dims, lm.den, lm.num):
+        ranks[p, r] += len(rows)
+    return ranks
+
+
 @given(st.tuples(st.integers(1, 3), st.integers(0, 200), st.sampled_from([6, 12, 22])), st.data())
 def test_presentation_invariance_law(params, data):
     """X·M·Y is the same manifold for handlebody moves X, Y: all invariants equal."""
@@ -612,6 +718,7 @@ def test_presentation_invariance_law(params, data):
     H = GluingData(*matrix_to_blocks(X @ G.matrix @ Y))
     assert homology_profile(H) == homology_profile(G)
     assert is_nondegenerate(H) == is_nondegenerate(G)
+    assert jordan_scale_ranks(H) == jordan_scale_ranks(G)
     for k in (1, 2, 3, 6):
         assert z_cs(H, k) == z_cs(G, k)
         assert z_bf(H, k) == z_bf(G, k)
