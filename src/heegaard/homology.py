@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, prod
 
-from .exact import Frozen, SmithDecomposition, frac_mod1, integer_kernel, smith_normal_form, vec_dot
+from .exact import Frozen, SmithDecomposition, frac_mod1, smith_normal_form, vec_dot
 from .splitting import GluingData, per_manifold
 
 
@@ -176,16 +176,22 @@ def torsion_elements(G: GluingData) -> TorsionElements:
     return TorsionElements(G)
 
 
+def _kernel_columns(G: GluingData) -> list:
+    # columns rank..g−1 of V⁻¹ in the Smith form of P: a saturated basis of ker P
+    snf = homology_profile(G).snf_of_P
+    return [snf.v_inverse.col(j) for j in range(snf.rank, G.genus)]
+
+
 def free_flat_basis(G: GluingData) -> list:
     """Q-basis of the free flat modes {x in Q^g : P x = 0}; dimension b1."""
-    snf = homology_profile(G).snf_of_P
-    r = snf.rank
-    vinv = snf.v_inverse
-    return [
-        tuple(Fraction(e) for e in vinv.col(j)) for j in range(r, G.genus)
-    ]
+    return [tuple(map(Fraction, c)) for c in _kernel_columns(G)]
 
 
 def curvature_lattice_basis(G: GluingData) -> list:
-    """Integer basis of the curvature label lattice ker P† (rank b1)."""
-    return integer_kernel(G.P.transpose())
+    """Integer basis of the curvature label lattice ker P† (rank b1).
+
+    By the block relations Q maps the integer lattice ker P one-to-one
+    (S†P − R†Q = 1) onto ker P† (m = Q(−R†m) with RP† = PR†), so Q applied
+    to the kernel columns of P's Smith form is a basis; no second one runs.
+    """
+    return [G.Q.apply(c) for c in _kernel_columns(G)]

@@ -98,27 +98,23 @@ def linking_matrix(G: GluingData) -> LinkingMatrix:
 def _radical_order(dims, L: int, g) -> int:
     """Order of the radical {θ : Γ(θ, ·) = 0} of the form g / L on ⊕ ℤ/dᵢ.
 
-    a ∈ ℤ^r lies in the radical lattice iff gᵀa ∈ Lℤ^r.  The image of
-    ℤ^r under a ↦ gᵀa in (ℤ/L)^r is the column span of [gᵀ | L·I_r]
-    modulo L, which has L^r / Π eᵢ elements, eᵢ the Smith diagonal of that
-    r × 2r matrix.  Since dᵢ·g_ij ≡ 0 (mod L), the lattice ⊕ dᵢℤ lies in
-    the radical lattice, so the radical has |T| / |image| elements.
+    a ∈ ℤ^r lies in the radical lattice iff gᵀa ∈ Lℤ^r.  With the Smith
+    form g = U·E·V of the r × r gram, gᵀℤ^r + Lℤ^r = Vᵀ(Eℤ^r + Lℤ^r), so
+    a ↦ gᵀa takes Π L / gcd(eᵢ, L) values mod L, eᵢ the diagonal of E.
+    Since dᵢ·g_ij ≡ 0 (mod L), the lattice ⊕ dᵢℤ lies in the radical
+    lattice, so the radical has |T|·Π gcd(eᵢ, L) / L^r elements.
     """
-    r = len(dims)
-    block = IntMatrix.from_rows(
-        [g[j][i] for j in range(r)] + [L if c == i else 0 for c in range(r)]
-        for i in range(r)
-    )
-    return prod(dims) * prod(smith_normal_form(block).diagonal) // L**r
+    e = smith_normal_form(IntMatrix.from_rows(g)).diagonal
+    return prod(dims) * prod(gcd(x, L) for x in e) // L ** len(dims)
 
 
 def is_nondegenerate(G: GluingData) -> bool:
     """True iff only the identity pairs to zero with every torsion class.
 
-    Counts the radical of linking_matrix(G) from one Smith form of the
-    r × 2r matrix [numᵀ | den·I_r] (see _radical_order), in O(r³) integer
-    steps; no torsion class is enumerated.  A torsion-free manifold gives
-    the empty form, whose radical has order 1.
+    Counts the radical of linking_matrix(G) from one Smith form of its
+    r × r integer gram num (see _radical_order), in O(r³) integer steps;
+    no torsion class is enumerated.  A torsion-free manifold gives the
+    empty form, whose radical has order 1.
     """
     lm = linking_matrix(G)
     return _radical_order(lm.dims, lm.den, lm.num) == 1

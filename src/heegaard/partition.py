@@ -487,32 +487,37 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
         raise ValueError("m_window must be nonnegative")
     profile = homology_profile(G)
     _check_enumerable("|T|", profile.torsion_order)
+    b1 = profile.b1
+    pairings = []  # <f, m> over the free basis, per window label m
+    if b1:
+        # every refusal comes before the |T| loop, which the CLI's grid ladder repeats
+        if gcd(grid_n, 2 * k * m_window) != 1:
+            raise ValueError(
+                f"grid_n = {grid_n} must be coprime to 2*k*m_window = {2 * k * m_window}"
+            )
+        lattice = curvature_lattice_basis(G)
+        free_basis = free_flat_basis(G)
+        g = G.genus
+        for coeffs in product(range(-m_window, m_window + 1), repeat=b1):
+            m = tuple(
+                sum(c * lattice[j][i] for j, c in enumerate(coeffs)) for i in range(g)
+            )
+            w = [vec_dot(f, m) for f in free_basis]
+            if any(coeffs) and all((2 * k * wc) % grid_n == 0 for wc in w):
+                raise ValueError(
+                    "grid aliasing: a nonzero curvature label survives the grid "
+                    "average; enlarge grid_n"
+                )
+            pairings.append(w)
     # torsion factor by its own literal loop, independent of z_cs internals
     torsion_part = 0j
     for rep in torsion_elements(G):
         gamma = linking_form(G, rep, rep).value
         torsion_part += cmath.exp(-2j * pi * float(frac_mod1(k * gamma)))
-    b1 = profile.b1
     if b1 == 0:
         return torsion_part
-    if gcd(grid_n, 2 * k * m_window) != 1:
-        raise ValueError(
-            f"grid_n = {grid_n} must be coprime to 2*k*m_window = {2 * k * m_window}"
-        )
-    lattice = curvature_lattice_basis(G)
-    free_basis = free_flat_basis(G)
-    g = G.genus
     total = 0j
-    for coeffs in product(range(-m_window, m_window + 1), repeat=b1):
-        m = tuple(
-            sum(c * lattice[j][i] for j, c in enumerate(coeffs)) for i in range(g)
-        )
-        w = [vec_dot(f, m) for f in free_basis]
-        if any(coeffs) and all((2 * k * wc) % grid_n == 0 for wc in w):
-            raise ValueError(
-                "grid aliasing: a nonzero curvature label survives the grid "
-                "average; enlarge grid_n"
-            )
+    for w in pairings:
         avg = 0j
         for tvec in product(range(grid_n), repeat=b1):
             dot = Fraction(sum(tc * wc for tc, wc in zip(tvec, w)), grid_n)

@@ -19,6 +19,9 @@ from .exact import Frozen, IntMatrix
 
 # largest |T|, d_r or p that a sum may enumerate, and (2g)² a random splitting may build
 _ENUMERATION_LIMIT = 10**6
+# longest transvection word a random splitting may multiply out: its entries
+# grow by a bit every few letters, so the cost grows with the square of the length
+_WORD_LENGTH_LIMIT = 10**4
 
 
 def _check_enumerable(what: str, size: int):
@@ -68,27 +71,24 @@ def block_relation_violations(r, p, s, q) -> list:
 
     Each line names the relation and prints both sides (or the defect
     against the identity), so a report can show exactly what failed.
+    A symmetric relation X = X† takes the one product X: eight in all.
     """
     R, P, S, Q = _coerce_blocks(r, p, s, q)
-    g = R.rows
-    I = IntMatrix.identity(g)
+    I = IntMatrix.identity(R.rows)
     Rt, Pt, St, Qt = (b.transpose() for b in (R, P, S, Q))
     out = []
-    pairs = [
-        ("Q†P = P†Q", Qt @ P, Pt @ Q),
-        ("P†S − Q†R = 1", Pt @ S - Qt @ R, I),
-        ("S†R = R†S", St @ R, Rt @ S),
-        ("RP† = PR†", R @ Pt, P @ Rt),
-        ("SP† − QR† = 1", S @ Pt - Q @ Rt, I),
-        ("SQ† = QS†", S @ Qt, Q @ St),
-    ]
-    for name, lhs, rhs in pairs:
-        if lhs != rhs:
-            if rhs == I and "1" in name:
-                out.append(f"{name.split(' = ')[0]} = {_fmt(lhs)} ≠ 1")
-            else:
-                a, b = name.split(" = ")
-                out.append(f"{a} = {_fmt(lhs)} ≠ {_fmt(rhs)} = {b}")
+    # (left side, its value X, right side): the name of X†, or None for X = 1
+    for a, X, b in (
+        ("Q†P", Qt @ P, "P†Q"),
+        ("P†S − Q†R", Pt @ S - Qt @ R, None),
+        ("S†R", St @ R, "R†S"),
+        ("RP†", R @ Pt, "PR†"),
+        ("SP† − QR†", S @ Pt - Q @ Rt, None),
+        ("SQ†", S @ Qt, "QS†"),
+    ):
+        rhs = I if b is None else X.transpose()
+        if X != rhs:
+            out.append(f"{a} = {_fmt(X)} ≠ " + ("1" if b is None else f"{_fmt(rhs)} = {b}"))
     return out
 
 
@@ -321,13 +321,16 @@ def random_splitting(genus: int, seed: int, word_length: int) -> GluingData:
     of the 3-sphere; right-multiplying by a symplectic word keeps the
     anti-symplectic property, so every output is valid by construction.
     The result is a deterministic function of (genus, seed, word_length).
-    A genus whose (2g)² matrix entries pass _ENUMERATION_LIMIT raises
-    ValueError before anything is built.
+    A genus whose (2g)² matrix entries pass _ENUMERATION_LIMIT, or a
+    word_length past _WORD_LENGTH_LIMIT, raises ValueError before anything
+    is built.
     """
     if genus < 1:
         raise ValueError("genus must be at least 1")
     if word_length < 0:
         raise ValueError("word_length must be nonnegative")
+    if word_length > _WORD_LENGTH_LIMIT:
+        raise ValueError(f"word_length = {word_length} exceeds the limit {_WORD_LENGTH_LIMIT}")
     _check_enumerable(f"(2g)² at genus {genus}", (2 * genus) ** 2)
     g = genus
     n = 2 * g

@@ -175,6 +175,44 @@ def plain_anti_symplectic(r, p, s, q):
     return left == [[-x for x in row] for row in jm]
 
 
+def two_sided_relation_violations(r, p, s, q):
+    """The six block relations on plain lists, each side by its own products.
+
+    Twelve products, none shared between the two sides of a relation.  A
+    failed relation gives "lhs = <value> ≠ <value> = rhs", or
+    "lhs = <value> ≠ 1" against the identity; a 1 × 1 value prints as its
+    entry and a larger one as its list of rows.
+    """
+    g = len(r)
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(g)) for j in range(g)] for i in range(g)]
+
+    def tr(a):
+        return [[a[j][i] for j in range(g)] for i in range(g)]
+
+    def minus(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def show(a):
+        return str(a[0][0]) if g == 1 else str(a)
+
+    one = [[int(i == j) for j in range(g)] for i in range(g)]
+    out = []
+    for name, lhs, rhs in (
+        ("Q†P = P†Q", mul(tr(q), p), mul(tr(p), q)),
+        ("P†S − Q†R = 1", minus(mul(tr(p), s), mul(tr(q), r)), one),
+        ("S†R = R†S", mul(tr(s), r), mul(tr(r), s)),
+        ("RP† = PR†", mul(r, tr(p)), mul(p, tr(r))),
+        ("SP† − QR† = 1", minus(mul(s, tr(p)), mul(q, tr(r))), one),
+        ("SQ† = QS†", mul(s, tr(q)), mul(q, tr(s))),
+    ):
+        a, b = name.split(" = ")
+        if lhs != rhs:
+            out.append(f"{a} = {show(lhs)} ≠ 1" if b == "1" else f"{a} = {show(lhs)} ≠ {show(rhs)} = {b}")
+    return out
+
+
 @lru_cache(maxsize=None)
 def _bf_pair_counts(dims, gram_num, L):
     """#{(a, b) : a·gram·b ≡ n (mod L)} over all ordered pairs of multi-indices."""

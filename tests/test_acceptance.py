@@ -11,13 +11,12 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from heegaard.exact import IntMatrix, PhaseQ, determinant, vec_dot
+from heegaard.exact import IntMatrix, PhaseQ, determinant, integer_kernel, vec_dot
 from heegaard.fields import FiniteDBClass, bf_action, cs_action, zero_mode_shift
 from heegaard.homology import (
     curvature_lattice_basis,
     free_flat_basis,
     homology_profile,
-    integer_kernel,
     torsion_elements,
 )
 from heegaard.linking import is_nondegenerate, linking_form

@@ -145,6 +145,16 @@ def test_random_past_enumeration_limit_exits_1(capture):
     assert "exceeds the enumeration limit" in error["message"]
 
 
+def test_random_past_word_length_limit_exits_1(capture):
+    t0 = time.perf_counter()
+    code, out, err = capture("random", "--genus", "2", "--seed", "0", "--length", "1000000000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert f"exceeds the limit {splitting._WORD_LENGTH_LIMIT}" in error["message"]
+
+
 def test_homology_of_random_genus5_file_finishes(capture, tmp_path):
     # this splitting's P stalled floor-quotient Smith elimination for minutes
     code, text, _ = capture("random", "--genus", "5", "--seed", "5", "--length", "48")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heegaard.exact import IntMatrix, PhaseQ
+from heegaard.exact import IntMatrix, PhaseQ, integer_kernel
 from heegaard.fields import (
     FiniteDBClass,
     bf_action,
@@ -15,7 +15,6 @@ from heegaard.fields import (
 from heegaard.homology import (
     curvature_lattice_basis,
     free_flat_basis,
-    integer_kernel,
     torsion_elements,
 )
 from heegaard.splitting import (

@@ -4,6 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import heegaard.exact
+import heegaard.homology
+from heegaard.exact import integer_kernel
 from heegaard.homology import (
     HomologyProfile,
     TorsionRep,
@@ -17,6 +20,7 @@ from oracle_helpers import (
     abelian_order_multiset,
     cokernel_order_multiset,
     merge_invariant_factors,
+    minor_gcd_diagonal,
 )
 
 splitting_params = st.tuples(
@@ -154,6 +158,43 @@ def test_flat_bases(params):
     for m in curv:
         assert all(isinstance(c, int) for c in m)
         assert tuple(G.P.transpose().apply(m)) == zero
+
+
+def curvature_cases(corpus):
+    """The corpus, S¹×S², and random splittings summed with S¹×S² once or twice."""
+    handle = lens(0, 1)
+    sums = [connected_sum(random_splitting(1 + i % 3, i, (6, 15)[i % 2]), handle) for i in range(24)]
+    return [*corpus, handle, *sums, *(connected_sum(G, handle) for G in sums[:6])]
+
+
+def test_curvature_lattice_is_saturated_and_spans_ker_P_transpose(corpus):
+    for G in curvature_cases(corpus):
+        b1 = homology_profile(G).b1
+        basis = curvature_lattice_basis(G)
+        kernel = integer_kernel(G.P.transpose())
+        assert len(basis) == len(kernel) == b1
+        if not b1:
+            continue
+        assert minor_gcd_diagonal(basis) == [1] * b1
+        assert minor_gcd_diagonal(kernel) == [1] * b1
+        # both saturated of rank b1, and together of rank b1: the same lattice
+        stacked = minor_gcd_diagonal(basis + kernel)
+        assert stacked[:b1] == [1] * b1 and not any(stacked[b1:])
+
+
+def test_curvature_lattice_reuses_the_smith_form_of_P(corpus, monkeypatch):
+    cases = curvature_cases(corpus)
+    for G in cases:
+        homology_profile(G)
+
+    def refuse(A):
+        raise AssertionError("a second Smith form")
+
+    monkeypatch.setattr(heegaard.exact, "smith_normal_form", refuse)
+    monkeypatch.setattr(heegaard.homology, "smith_normal_form", refuse)
+    for G in cases:
+        for m in curvature_lattice_basis(G):
+            assert G.P.transpose().apply(m) == (0,) * G.genus
 
 
 @given(st.integers(2, 12), st.integers(1, 11), st.integers(1, 7))

@@ -785,6 +785,20 @@ def test_grid_oracle_refuses_degenerate_free_pairing():
         free_mode_grid_oracle(G, 1, 5, 2)
 
 
+def test_grid_oracle_refuses_before_the_torsion_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the torsion loop ran")
+
+    monkeypatch.setattr(partition, "linking_form", refuse)
+    G = random_splitting(3, 115, 15)  # b1 = 1 and |T| = 4; grid 5 aliases
+    assert (homology_profile(G).b1, homology_profile(G).torsion_order) == (1, 4)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="alias"):
+            free_mode_grid_oracle(G, k, 5, 2)
+    with pytest.raises(ValueError, match="coprime"):
+        free_mode_grid_oracle(G, 1, 4, 2)
+
+
 # ------------------------------------------- PhaseSum representation laws
 
 

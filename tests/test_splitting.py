@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import heegaard.splitting as splitting
 from heegaard.exact import IntMatrix, determinant
@@ -24,7 +24,7 @@ from heegaard.splitting import (
     stabilize,
     validate,
 )
-from oracle_helpers import plain_anti_symplectic
+from oracle_helpers import plain_anti_symplectic, two_sided_relation_violations
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 200), st.sampled_from([0, 3, 6, 10, 15])
@@ -130,6 +130,54 @@ def test_perturbed_samples_agree_across_checkers(params, block, i, j, delta):
     ok_relations = not block_relation_violations(r, p, s, q)
     assert ok_relations == anti_symplectic_check(r, p, s, q)
     assert ok_relations == plain_anti_symplectic(r, p, s, q)
+
+
+@st.composite
+def candidate_blocks(draw):
+    """Blocks to validate: a valid splitting with one entry moved, or blocks
+    each drawn from 0, 1 and one random N.  With N ≠ N† the candidates
+    (0, 1, 0, N), (1, 0, N, 0), (N, 1, 0, 0) and (0, 0, 1, N) each break one
+    symmetric relation alone: Q†P, S†R, RP† and SQ† in turn."""
+    if draw(st.booleans()):
+        blocks = list(blocks_of(random_splitting(*draw(splitting_params))))
+        g = len(blocks[0])
+        target = blocks[draw(st.integers(0, 3))]
+        target[draw(st.integers(0, g - 1))][draw(st.integers(0, g - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+        return tuple(blocks)
+    g = draw(st.integers(1, 3))
+    N = draw(st.lists(st.lists(st.integers(-3, 3), min_size=g, max_size=g), min_size=g, max_size=g))
+    choices = {
+        "0": [[0] * g for _ in range(g)],
+        "1": [[int(i == j) for j in range(g)] for i in range(g)],
+        "N": N,
+    }
+    return tuple(choices[draw(st.sampled_from("01N"))] for _ in "RPSQ")
+
+
+_Z, _I, _N = [[0, 0], [0, 0]], [[1, 0], [0, 1]], [[0, 1], [0, 0]]
+
+
+@given(candidate_blocks())
+@example((_Z, _I, _Z, _N))
+@example((_I, _Z, _N, _Z))
+@example((_N, _I, _Z, _Z))
+@example((_Z, _Z, _I, _N))
+def test_violations_match_two_sided_evaluation(blocks):
+    assert block_relation_violations(*blocks) == two_sided_relation_violations(*blocks)
+
+
+def test_validation_takes_eight_products(monkeypatch):
+    blocks = blocks_of(random_splitting(3, 0, 15))
+    calls = []
+    matmul = IntMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    GluingData(*blocks)
+    assert calls == [((3, 3), (3, 3))] * 8
 
 
 @given(splitting_params)
@@ -316,4 +364,15 @@ def test_random_splitting_refuses_past_enumeration_limit():
         size = (2 * genus) ** 2
         with pytest.raises(ValueError, match=re.escape(f"{size} exceeds the enumeration limit {limit}")):
             random_splitting(genus, 0, 1)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_random_splitting_refuses_past_word_length_limit():
+    limit = splitting._WORD_LENGTH_LIMIT
+    assert limit == 10**4
+    assert random_splitting(1, 0, limit).genus == 1
+    t0 = time.perf_counter()
+    for length in (limit + 1, 10**9):
+        with pytest.raises(ValueError, match=re.escape(f"word_length = {length} exceeds the limit {limit}")):
+            random_splitting(2, 0, length)
     assert time.perf_counter() - t0 < 0.1
