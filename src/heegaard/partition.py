@@ -13,12 +13,13 @@ Neither sum enumerates the torsion group.  Z_CS splits the linking form
 orthogonally into p-primary Jordan blocks, ⟨u/pᶠ⟩ and, for p = 2, planes
 (Wall, 1963).  The histogram of Γ(θ,θ) over T is then the PhaseSum product
 of the blocks' histograms, built once per manifold in integer arithmetic
-over the common denominator L of the linking gram.  Each level k then
-remaps its bins n ↦ −k·n mod L.  By nondegeneracy of the linking form,
-the Z_BF multiset follows from the invariant factors alone; it is written
-over its reduced denominator by one slice per divisor, once per manifold
-for each class of levels with the same gcd(k, d_r).  Only the oracles
-loop over T.
+over the common denominator L of the linking gram.  A level k remaps
+its bins n ↦ −k·n mod L; since k and k·s² give one sum for every unit
+s mod L, that is done once per manifold for each class of levels.  By
+nondegeneracy of the linking form, the Z_BF multiset follows from the
+invariant factors alone; it is written over its reduced denominator by
+one slice per divisor, once per manifold for each class of levels with
+the same gcd(k, d_r).  Only the oracles loop over T.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from math import cos, fsum, gcd, lcm, pi, sin
 from operator import index
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
-from .homology import curvature_lattice_basis, free_flat_basis, homology_profile, torsion_elements
-from .linking import _jordan_blocks, _primary_parts, is_nondegenerate, linking_form, linking_matrix
+from .homology import curvature_lattice_basis, free_flat_basis, homology_profile
+from .linking import _jordan_blocks, _primary_parts, is_nondegenerate, linking_matrix
 from .splitting import GluingData, _check_enumerable, per_manifold
 
 
@@ -305,28 +306,59 @@ def _cs_histogram(G: GluingData) -> PhaseSum:
     return _jordan_histogram(lm.dims, lm.den, lm.num)
 
 
+@per_manifold
+def _cs_classes(G: GluingData) -> tuple:
+    """The prime powers of the histogram's denominator, and z_cs's sums by level class."""
+    return _primary_parts(_cs_histogram(G)._den), {}
+
+
 def z_cs(G: GluingData, k: int) -> PhaseSum:
     """Exact CS partition sum: one term −k·Γ(θ,θ) per torsion class.
 
     The histogram of Γ(θ,θ) over T is built once per manifold and kept on
     G (_cs_histogram), as a product of Jordan blocks' histograms with no
     loop over T (_jordan_histogram); level k maps each numerator n over
-    its denominator L to −k·n mod L.  For k prime to L that permutes bins
-    that are already reduced.  The identity class contributes phase 0,
-    so the sphere normalizes to {0: 1}.  A Jordan block or a product of
-    block histograms past _ENUMERATION_LIMIT raises ValueError.
+    its denominator L to −k·n mod L.  For a unit s mod L, θ ↦ sθ permutes
+    T and Γ(sθ, sθ) = s²·Γ(θ, θ), so the levels k and k·s² give one sum.
+    Their class is read at each pᵉ ‖ L: v = min(v_p(k), e) and, if v < e,
+    the square class of the unit u = k/pᵛ mod p^{e−v}, which is the
+    Legendre symbol (u | p) for odd p and u mod min(8, 2^{e−v}) for p = 2.
+    The sum of a class is remapped once, at the first of its levels asked
+    for, and kept on G (_cs_classes); every level of the class returns
+    that same object, so eval_numeric runs once per class too.  The
+    identity class contributes phase 0, so the sphere normalizes to
+    {0: 1}.  A Jordan block or a product of block histograms past
+    _ENUMERATION_LIMIT raises ValueError.
     """
     _check_level(k)
     hist = _cs_histogram(G)
-    L = hist._den
-    mk = -k % L
-    if gcd(k, L) == 1:
-        return PhaseSum._canonical(L, {n * mk % L: c for n, c in hist._counts.items()})
-    counts = {}
-    for n, c in hist._counts.items():
-        n = n * mk % L
-        counts[n] = counts.get(n, 0) + c
-    return PhaseSum._from_counts(L, counts)
+    parts, sums = _cs_classes(G)
+    key = []
+    for p, q in parts:
+        u, pv = k, 1
+        while pv < q and u % p == 0:
+            u, pv = u // p, pv * p
+        if pv == q:
+            key.append(q)
+        elif p == 2:
+            key.append((pv, u % min(8, q // pv)))
+        else:  # Euler's criterion: u^((p−1)/2) mod p is the Legendre symbol
+            key.append((pv, pow(u, (p - 1) // 2, p)))
+    key = tuple(key)
+    S = sums.get(key)
+    if S is None:
+        L = hist._den
+        mk = -k % L
+        if gcd(k, L) == 1:
+            S = PhaseSum._canonical(L, {n * mk % L: c for n, c in hist._counts.items()})
+        else:
+            counts = {}
+            for n, c in hist._counts.items():
+                n = n * mk % L
+                counts[n] = counts.get(n, 0) + c
+            S = PhaseSum._from_counts(L, counts)
+        sums[key] = S
+    return S
 
 
 def _divisors(n: int) -> list:
@@ -464,6 +496,34 @@ def gauss_sum_oracle(p: int, q: int, k: int) -> complex:
     )
 
 
+def _torsion_factor(G: GluingData, k: int) -> complex:
+    """Σ_θ e^{−2πik·Γ(θ,θ)} over T by a literal loop in integers.
+
+    The grid oracle's torsion factor; it reads neither linking_matrix nor
+    z_cs.  The class of multi-index a, in TorsionElements order (last
+    index fastest), is θ = y/d_r with y = Σ aᵢ·(d_r/dᵢ)·cᵢ mod d_r, cᵢ the
+    torsion columns, so Γ(θ,θ) = ⟨Qy, Py⟩/d_r² = yᵀ(QᵀP)y/d_r² mod 1.
+    P·cᵢ ∈ dᵢℤ^g is checked once per generator, which by linearity makes
+    every θ a torsion representative.  Each term is the float of the
+    rational k·Γ(θ,θ) mod 1 that linking_form gives, so the terms and the
+    total are bit-identical to a loop over linking_form in Fractions.
+    """
+    profile = homology_profile(G)
+    dims, columns = profile.invariant_factors, profile.torsion_columns
+    if any(x % d for c, d in zip(columns, dims) for x in G.P.apply(c)):
+        raise ValueError("a torsion column c_i has P·c_i outside d_i·Z^g")
+    top = dims[-1] if dims else 1
+    gens = [[top // d * x for x in c] for c, d in zip(columns, dims)]
+    form = (G.Q.transpose() @ G.P).to_rows()
+    D2 = top * top
+    total = 0j
+    for a in product(*map(range, dims)):
+        y = [sum(ai * gen[c] for ai, gen in zip(a, gens)) % top for c in range(G.genus)]
+        v = vec_dot(y, [vec_dot(row, y) for row in form])
+        total += cmath.exp(-2j * pi * ((k * v) % D2 / D2))
+    return total
+
+
 def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> complex:
     """Brute-force check of the free-mode delta reduction.
 
@@ -471,7 +531,8 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     lattice and averages the free flat mode over a uniform grid, with
     holonomies pinned to zero.  On a grid coprime to 2k·m_window the
     average reproduces the Kronecker delta, only m = 0 survives, and the
-    value must land on eval_numeric(z_cs(G, k)).
+    value must land on eval_numeric(z_cs(G, k)).  The torsion factor is
+    _torsion_factor's literal loop over T.
 
     A second, sharper guard raises if any nonzero m in the window would
     alias to zero on the chosen grid (including m with B_f†m = 0), so a
@@ -509,11 +570,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
                     "average; enlarge grid_n"
                 )
             pairings.append(w)
-    # torsion factor by its own literal loop, independent of z_cs internals
-    torsion_part = 0j
-    for rep in torsion_elements(G):
-        gamma = linking_form(G, rep, rep).value
-        torsion_part += cmath.exp(-2j * pi * float(frac_mod1(k * gamma)))
+    torsion_part = _torsion_factor(G, k)
     if b1 == 0:
         return torsion_part
     total = 0j

@@ -319,7 +319,8 @@ def random_splitting(genus: int, seed: int, word_length: int) -> GluingData:
 
     M₀ is the block swap [[0, I], [I, 0]], the standard genus-g splitting
     of the 3-sphere; right-multiplying by a symplectic word keeps the
-    anti-symplectic property, so every output is valid by construction.
+    anti-symplectic property, so every output is valid by construction and
+    is not validated again.
     The result is a deterministic function of (genus, seed, word_length).
     A genus whose (2g)² matrix entries pass _ENUMERATION_LIMIT, or a
     word_length past _WORD_LENGTH_LIMIT, raises ValueError before anything
@@ -353,4 +354,4 @@ def random_splitting(genus: int, seed: int, word_length: int) -> GluingData:
     # M₀·W swaps the two row halves of W
     block = lambda rows, c0: IntMatrix.from_rows(row[c0 : c0 + g] for row in rows)
     bottom, top = W[g:], W[:g]
-    return GluingData(block(bottom, 0), block(bottom, g), block(top, 0), block(top, g))
+    return GluingData._trusted(block(bottom, 0), block(bottom, g), block(top, 0), block(top, g))

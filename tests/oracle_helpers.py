@@ -5,6 +5,7 @@ definitions, not against the library code: no imports from the package, no
 shared helpers.  Slow on purpose; only run on small inputs.
 """
 
+import cmath
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -298,3 +299,23 @@ def fsum_phase_value(den, counts):
         re.append(mult * cos(ang))
         im.append(mult * sin(ang))
     return complex(fsum(re), fsum(im))
+
+
+def fraction_torsion_factor(q_rows, p_rows, reps, k):
+    """Σ e^{−2πik·⟨Qθ, Pθ⟩} over the representatives θ, in Fractions.
+
+    The literal loop of the grid oracle's torsion factor: each θ must have
+    P·θ integral, ⟨Qθ, Pθ⟩ and k times it are reduced mod 1 as Fractions,
+    and only that rational becomes a float, inside cmath.exp.  Terms are
+    added in the order of reps.
+    """
+    total = 0j
+    for rep in reps:
+        theta = [Fraction(x) for x in rep]
+        p_theta = [sum(a * t for a, t in zip(row, theta)) for row in p_rows]
+        if any(x.denominator != 1 for x in p_theta):
+            raise ValueError("not a torsion representative: P·θ is not integral")
+        q_theta = [sum(a * t for a, t in zip(row, theta)) for row in q_rows]
+        gamma = sum(a * b for a, b in zip(q_theta, p_theta)) % 1
+        total += cmath.exp(-2j * pi * float(k * gamma % 1))
+    return total

@@ -395,6 +395,22 @@ def test_oracle_skips_the_grid_past_the_enumeration_limit(capture, tmp_path):
     assert res["all_agree"] is True
 
 
+def test_oracle_skips_refused_checks_on_a_large_lens(capture, lens_file):
+    # Z_CS answers at 1,531,530 classes; the BF pair sum and the Gauss sum refuse
+    t0 = time.perf_counter()
+    code, out, err = capture("oracle", lens_file(1531530, 23), "--level", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    limit = "exceeds the enumeration limit 1000000"
+    assert res["checks"] == [
+        {"name": "bf_closed_form", "skipped": f"d_r = 1531530 {limit}"},
+        {"name": "gauss_sum", "skipped": f"p = 1531530 {limit}"},
+        {"name": "free_mode_grid", "skipped": f"|T| = 1531530 {limit}"},
+    ]
+    assert res["all_agree"] is True
+
+
 def test_help_exits_zero(capture):
     code, out, _ = capture("--help")
     assert code == 0

@@ -36,7 +36,13 @@ from heegaard.splitting import (
     matrix_to_blocks,
     random_splitting,
 )
-from oracle_helpers import bf_pair_histogram, diag_quad_counts, fsum_phase_value, mobius
+from oracle_helpers import (
+    bf_pair_histogram,
+    diag_quad_counts,
+    fraction_torsion_factor,
+    fsum_phase_value,
+    mobius,
+)
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 120), st.sampled_from([0, 3, 6, 10])
@@ -789,7 +795,7 @@ def test_grid_oracle_refuses_before_the_torsion_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("the torsion loop ran")
 
-    monkeypatch.setattr(partition, "linking_form", refuse)
+    monkeypatch.setattr(partition, "_torsion_factor", refuse)
     G = random_splitting(3, 115, 15)  # b1 = 1 and |T| = 4; grid 5 aliases
     assert (homology_profile(G).b1, homology_profile(G).torsion_order) == (1, 4)
     for k in (1, 2, 3):
@@ -797,6 +803,32 @@ def test_grid_oracle_refuses_before_the_torsion_loop(monkeypatch):
             free_mode_grid_oracle(G, k, 5, 2)
     with pytest.raises(ValueError, match="coprime"):
         free_mode_grid_oracle(G, 1, 4, 2)
+
+
+def torsion_factor_in_fractions(G, k):
+    return fraction_torsion_factor(G.Q.to_rows(), G.P.to_rows(), torsion_elements(G), k)
+
+
+def test_grid_torsion_factor_is_bit_identical_to_the_fraction_loop(corpus):
+    lenses = [lens(p, q) for p in range(1, 16) for q in range(-p + 1, p + 1) if gcd(p, q) == 1]
+    mixed = [random_splitting(2, 7, 4), random_splitting(3, 115, 15), connected_sum(lens(45, 7), lens(60, 11))]
+    for G in lenses + mixed + [G for G in corpus if homology_profile(G).torsion_order <= 300]:
+        for k in (1, 2, 3):
+            want = repr(torsion_factor_in_fractions(G, k))
+            assert repr(partition._torsion_factor(G, k)) == want
+            if homology_profile(G).b1 == 0:
+                assert repr(free_mode_grid_oracle(G, k, 5, 2)) == want
+
+
+def test_grid_oracle_answers_on_eight_thousand_classes_within_a_second():
+    from heegaard.cli import _grid_oracle_with_retries
+
+    G = connected_sum(random_splitting(3, 115, 15), lens(2003, 3))
+    assert (homology_profile(G).b1, homology_profile(G).torsion_order) == (1, 8012)
+    t0 = time.perf_counter()
+    _, _, value = _grid_oracle_with_retries(G, 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(value - eval_numeric(z_cs(G, 1))) < 1e-6
 
 
 # ------------------------------------------- PhaseSum representation laws
@@ -823,6 +855,75 @@ def test_z_cs_matches_literal_loop_on_corpus(corpus):
     assert small
     for G in small:
         assert_z_cs_matches_literal_loop(G, (1, 2, 3, 6))
+
+
+@given(st.data())
+def test_z_cs_matches_literal_loop_at_levels_in_drawn_order(data):
+    # levels of one class in any order: the first one asked for builds the sum
+    if data.draw(st.booleans()):
+        p = data.draw(st.integers(1, 60))
+        G = lens(p, data.draw(st.integers(1, p).filter(lambda q: gcd(p, q) == 1)))
+    else:
+        G = random_splitting(*data.draw(splitting_params))
+        assume(homology_profile(G).torsion_order <= 300)
+    top = linking_matrix(G).den
+    assert_z_cs_matches_literal_loop(G, data.draw(st.lists(st.integers(1, 3 * top), min_size=1, max_size=12)))
+
+
+def assert_unit_squares_share_the_sum(G, levels):
+    top = linking_matrix(G).den
+    units = [s for s in range(1, top + 1) if gcd(s, top) == 1]
+    for k in levels:
+        S = z_cs(G, k)
+        assert all(z_cs(G, k * s * s) is S for s in units)
+
+
+def test_z_cs_returns_one_object_per_level_class(corpus):
+    assert_unit_squares_share_the_sum(lens(60, 7), range(1, 61))
+    for G in corpus:
+        assert_unit_squares_share_the_sum(G, range(1, 13))
+
+
+@pytest.mark.parametrize("n, units", [(1000, (3, 7, 11)), (1024, (1, 3, 5))])
+def test_z_cs_returns_one_object_per_level_class_on_cubes(n, units):
+    # at 1024 = 2¹⁰ the unit part counts mod 8 for v ≤ 7, mod 4 at v = 8, mod 2 at v = 9
+    G = connected_sum(connected_sum(lens(n, units[0]), lens(n, units[1])), lens(n, units[2]))
+    assert_unit_squares_share_the_sum(G, [*range(1, 13), 64, 96, 256, 384, 512, 640, 1000, 1024])
+
+
+@pytest.mark.parametrize("p, classes", [(60, 4 * 3 * 3), (240, 12 * 3 * 3)])
+def test_z_cs_level_classes_of_lens_spaces(p, classes):
+    # 3 classes at each odd prime: v = 0 with either Legendre symbol, v = 1.  At 4:
+    # v = 0 with u mod 4, v = 1, v = 2.  At 16: v = 0 with u mod 8, v = 1 with u mod 8,
+    # v = 2 with u mod 4, v = 3, v = 4.  Distinct classes give distinct sums here.
+    G = lens(p, 7)
+    sums = [z_cs(G, k) for k in range(1, 4 * p + 1)]
+    assert len({id(S) for S in sums}) == classes
+    assert len(set(sums)) == classes
+
+
+def test_z_cs_remaps_and_evaluates_once_per_level_class(monkeypatch):
+    G = lens(60, 7)
+    remaps, evaluations = [], []
+    canonical, evaluate = PhaseSum._canonical.__func__, partition._evaluate
+
+    def counting_canonical(cls, *args):
+        remaps.append(args)
+        return canonical(cls, *args)
+
+    def counting_evaluate(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(PhaseSum, "_canonical", classmethod(counting_canonical))
+    monkeypatch.setattr(partition, "_evaluate", counting_evaluate)
+    for H in (G, GluingData(G.R, G.P, G.S, G.Q)):
+        partition._cs_histogram(H)
+        remaps.clear()
+        for k in range(1, 241):
+            eval_numeric(z_cs(H, k))
+        assert len(remaps) == 36
+    assert len(evaluations) == 72
 
 
 rationals = st.builds(Fraction, st.integers(-90, 90), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 30]))

@@ -367,6 +367,14 @@ def test_random_splitting_refuses_past_enumeration_limit():
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_random_splitting_builds_the_largest_genus_quickly():
+    # a transvection word is valid by construction, so no g × g product is checked
+    t0 = time.perf_counter()
+    G = random_splitting(500, 0, 1)
+    assert time.perf_counter() - t0 < 5.0
+    assert G.genus == 500
+
+
 def test_random_splitting_refuses_past_word_length_limit():
     limit = splitting._WORD_LENGTH_LIMIT
     assert limit == 10**4
