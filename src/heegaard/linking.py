@@ -4,15 +4,17 @@ Gamma(theta, vartheta) = <Q theta, P vartheta> mod 1 on torsion
 representatives.  Symmetry and representative independence follow from the
 block relations and are asserted by the test suite rather than assumed.
 The form's orthogonal splitting into p-primary Jordan blocks
-(_jordan_blocks) is what partition builds Z_CS from.
+(_jordan_blocks) is what partition builds Z_CS from, and it exists
+exactly when the form is nondegenerate, which is how is_nondegenerate
+decides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
-from .exact import Frozen, IntMatrix, PhaseQ, smith_normal_form, vec_dot
+from .exact import Frozen, PhaseQ, vec_dot
 from .homology import TorsionRep, homology_profile
 from .splitting import _ENUMERATION_LIMIT, GluingData, per_manifold
 
@@ -95,29 +97,27 @@ def linking_matrix(G: GluingData) -> LinkingMatrix:
     return LinkingMatrix(dims, den, num, columns)
 
 
-def _radical_order(dims, L: int, g) -> int:
-    """Order of the radical {θ : Γ(θ, ·) = 0} of the form g / L on ⊕ ℤ/dᵢ.
-
-    a ∈ ℤ^r lies in the radical lattice iff gᵀa ∈ Lℤ^r.  With the Smith
-    form g = U·E·V of the r × r gram, gᵀℤ^r + Lℤ^r = Vᵀ(Eℤ^r + Lℤ^r), so
-    a ↦ gᵀa takes Π L / gcd(eᵢ, L) values mod L, eᵢ the diagonal of E.
-    Since dᵢ·g_ij ≡ 0 (mod L), the lattice ⊕ dᵢℤ lies in the radical
-    lattice, so the radical has |T|·Π gcd(eᵢ, L) / L^r elements.
-    """
-    e = smith_normal_form(IntMatrix.from_rows(g)).diagonal
-    return prod(dims) * prod(gcd(x, L) for x in e) // L ** len(dims)
+class _Degenerate(ValueError):
+    """The Jordan splitting found a degenerate linking form."""
 
 
 def is_nondegenerate(G: GluingData) -> bool:
     """True iff only the identity pairs to zero with every torsion class.
 
-    Counts the radical of linking_matrix(G) from one Smith form of its
-    r × r integer gram num (see _radical_order), in O(r³) integer steps;
-    no torsion class is enumerated.  A torsion-free manifold gives the
-    empty form, whose radical has order 1.
+    A finite linking form has a Jordan splitting exactly when it is
+    nondegenerate (Wall, 1963; Kawauchi–Kojima, 1980), so this runs
+    _jordan_blocks on linking_matrix(G) and answers False only when that
+    reports a degenerate form; no torsion class is enumerated.  Its
+    factoring of the denominator can refuse past the enumeration limit
+    (_primary_parts), and that ValueError propagates.  A torsion-free
+    manifold gives the empty form, which is nondegenerate.
     """
     lm = linking_matrix(G)
-    return _radical_order(lm.dims, lm.den, lm.num) == 1
+    try:
+        _jordan_blocks(lm.dims, lm.den, lm.num)
+    except _Degenerate:
+        return False
+    return True
 
 
 def _primary_parts(n: int) -> list:
@@ -164,7 +164,7 @@ def _split_primary(p: int, q: int, orders: list, A: list) -> list:
       projection.
     The form is nondegenerate iff each pivot's generators have the order
     r of its block, the largest order left, so xₐ + x_b keeps the order
-    of xₐ; anything else raises ValueError.  A is modified.
+    of xₐ; anything else raises _Degenerate.  A is modified.
     """
     live = list(range(len(orders)))
     blocks = []
@@ -174,7 +174,7 @@ def _split_primary(p: int, q: int, orders: list, A: list) -> list:
         r = q // g
         pivot = (a, b) if off else (a,)
         if any(orders[i] != r for i in pivot):
-            raise ValueError(
+            raise _Degenerate(
                 f"linking form is degenerate: a generator of order {orders[a]} heads a Jordan block of order {r}"
             )
         if off and p != 2:
@@ -215,12 +215,12 @@ def _jordan_blocks(dims, den: int, num) -> list:
     m = den/q divides cᵢcⱼ·num[i][j] because Γ(xᵢ, xⱼ) has p-power order.
     A nondegenerate form has den equal to the exponent lcm(dᵢ) of the
     group and, in rank 1, a unit num[0][0]; a form that lacks either
-    raises ValueError, as _split_primary does on the other degenerate ones.
+    raises _Degenerate, as _split_primary does on the other degenerate ones.
     """
     if den != lcm(*dims):
-        raise ValueError("linking form is degenerate: its denominator is below the exponent of the group")
+        raise _Degenerate("linking form is degenerate: its denominator is below the exponent of the group")
     if len(dims) == 1 and gcd(num[0][0], den) != 1:
-        raise ValueError(f"linking form is degenerate: {num[0][0]} is not a unit mod {den}")
+        raise _Degenerate(f"linking form is degenerate: {num[0][0]} is not a unit mod {den}")
     out = []
     for p, q in _primary_parts(den):
         m = den // q

@@ -2,17 +2,22 @@
 
 A genus-g splitting is recorded by four integer g x g blocks R, P, S, Q,
 the action of the gluing map on the standard homology basis of the
-surface, arranged as the 2g x 2g matrix [[R, P], [S, Q]].  Validity means
-the six block relations below, which are equivalent to the matrix being
-anti-symplectic for the surface intersection form J.
+surface, arranged as the 2g x 2g matrix M = [[R, P], [S, Q]].  Validity
+means that M is anti-symplectic for the surface intersection form J,
+M†JM = −J.  Written in blocks, that equation is exactly three relations:
+Q†P = P†Q, S†R = R†S and P†S − Q†R = 1.  They give (JM†J)·M = 1, so
+M⁻¹ = JM†J and MJM† = −J, whose blocks are the other three relations
+RP† = PR†, SP† − QR† = 1 and SQ† = QS†.  Validation checks the first
+three and names every failed one of all six only when one fails.
 """
 
 from __future__ import annotations
 
 import random
 from functools import wraps
+from itertools import chain
 from math import gcd
-from operator import index
+from operator import add, index, mul, sub
 from typing import Iterable
 
 from .exact import Frozen, IntMatrix
@@ -66,14 +71,34 @@ def _fmt(m: IntMatrix) -> str:
         return "<entries too long to print>"
 
 
+def _anti_symplectic(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> bool:
+    """Q†P = P†Q, S†R = R†S and P†S − Q†R = 1, which together are M†JM = −J.
+
+    Entry (i, j) of A†B is column i of A dotted with column j of B, so the
+    four products are read off the columns with no transpose or temporary.
+    """
+    g = R.rows
+    r, p, s, q = ([A.col(j) for j in range(g)] for A in (R, P, S, Q))
+    dot = lambda u, v: sum(map(mul, u, v))
+    return all(
+        dot(q[i], p[j]) == dot(q[j], p[i]) and dot(s[i], r[j]) == dot(s[j], r[i])
+        for i in range(g) for j in range(i)
+    ) and all(dot(p[i], s[j]) - dot(q[i], r[j]) == (i == j) for i in range(g) for j in range(g))
+
+
 def block_relation_violations(r, p, s, q) -> list:
     """Evaluate the six block relations, returning one line per failure.
 
     Each line names the relation and prints both sides (or the defect
     against the identity), so a report can show exactly what failed.
-    A symmetric relation X = X† takes the one product X: eight in all.
+    The first three relations are M†JM = −J, which implies the other
+    three (see the module docstring), so blocks that satisfy them give []
+    from those alone.  Otherwise all six are evaluated: a symmetric
+    relation X = X† takes the one product X, eight products in all.
     """
     R, P, S, Q = _coerce_blocks(r, p, s, q)
+    if _anti_symplectic(R, P, S, Q):
+        return []
     I = IntMatrix.identity(R.rows)
     Rt, Pt, St, Qt = (b.transpose() for b in (R, P, S, Q))
     out = []
@@ -95,12 +120,12 @@ def block_relation_violations(r, p, s, q) -> list:
 class GluingData(Frozen, compared=("genus", "R.entries", "P.entries", "S.entries", "Q.entries")):
     """Validated gluing blocks of a genus-g Heegaard splitting.
 
-    Construction runs the full six-relation validation and raises
-    ValidationError otherwise, so every live instance is valid.  Instances
-    are immutable and hashable, for use as dict or set keys, and compare
-    the genus and the blocks' entries, whose shape the genus fixes;
-    invariants derived from them live on the instance (per_manifold),
-    outside its value.
+    Construction checks the block relations (block_relation_violations)
+    and raises ValidationError otherwise, so every live instance is
+    valid.  Instances are immutable and hashable, for use as dict or set
+    keys, and compare the genus and the blocks' entries, whose shape the
+    genus fixes; invariants derived from them live on the instance
+    (per_manifold), outside its value.
     """
 
     __slots__ = ("genus", "R", "P", "S", "Q", "_memo")
@@ -220,7 +245,7 @@ def anti_symplectic_check(r, p, s, q) -> bool:
     """True iff the assembled matrix M satisfies M†JM = −J.
 
     Takes raw blocks so that invalid candidates can be probed; agrees with
-    the six-relation validator on every input.
+    block_relation_violations on every input.
     """
     R, P, S, Q = _coerce_blocks(r, p, s, q)
     M = blocks_to_matrix(R, P, S, Q)
@@ -287,30 +312,17 @@ def stabilize(g: GluingData) -> GluingData:
 
 
 def _transvection_vectors(genus: int) -> list:
-    """Vectors generating the transvection word alphabet.
+    """The transvection word alphabet, each vector as the indices of its 1s.
 
-    Standard basis vectors e_i (longitudes), f_i (meridians), the sums
-    e_i + f_i, and consecutive-handle mixers.
+    Standard basis vectors e_i (longitudes, index i), f_i (meridians,
+    index g + i), the sums e_i + f_i, and consecutive-handle mixers.
     """
     g = genus
-    n = 2 * g
-
-    def unit(i):
-        v = [0] * n
-        v[i] = 1
-        return tuple(v)
-
-    def add(u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
     vecs = []
     for i in range(g):
-        e, f = unit(i), unit(g + i)
-        vecs += [e, f, add(e, f)]
+        vecs += [(i,), (g + i,), (i, g + i)]
     for i in range(g - 1):
-        e0, e1 = unit(i), unit(i + 1)
-        f0, f1 = unit(g + i), unit(g + i + 1)
-        vecs += [add(e0, e1), add(f0, f1), add(e0, f1)]
+        vecs += [(i, i + 1), (g + i, g + i + 1), (i, g + i + 1)]
     return vecs
 
 
@@ -337,21 +349,22 @@ def random_splitting(genus: int, seed: int, word_length: int) -> GluingData:
     n = 2 * g
     rng = random.Random(f"heegaard:{genus}:{seed}:{word_length}")
     vecs = _transvection_vectors(g)
-    W = [[int(i == j) for j in range(n)] for i in range(n)]
+    W = []  # the columns of W, from the identity
+    for j in range(n):
+        W.append([0] * n)
+        W[j][j] = 1
     for _ in range(word_length):
         v = vecs[rng.randrange(len(vecs))]
         c = rng.choice((1, -1))
         # T = 1 + c·v·(v†J) is symplectic for every integer c since v†Jv = 0;
-        # W·T = W + c·(W·v)(v†J) changes only the columns where v†J ≠ 0
-        vJ = [-x for x in v[g:]] + list(v[:g])
-        v_at = [(j, x) for j, x in enumerate(v) if x]
-        vJ_at = [(j, x) for j, x in enumerate(vJ) if x]
-        for row in W:
-            wv = c * sum(row[j] * x for j, x in v_at)
-            if wv:
-                for j, x in vJ_at:
-                    row[j] += wv * x
-    # M₀·W swaps the two row halves of W
-    block = lambda rows, c0: IntMatrix.from_rows(row[c0 : c0 + g] for row in rows)
-    bottom, top = W[g:], W[:g]
-    return GluingData._trusted(block(bottom, 0), block(bottom, g), block(top, 0), block(top, g))
+        # W·T = W + c·(W·v)(v†J) reads the columns of W at v's 1s and adds
+        # c·(W·v) to column j + g, or subtracts it from column j − g, per 1 at j
+        wv = W[v[0]] if len(v) == 1 else list(map(add, W[v[0]], W[v[1]]))
+        for j in v:
+            k, up = (j + g, c > 0) if j < g else (j - g, c < 0)
+            W[k] = list(map(add if up else sub, W[k], wv))
+    # M₀·W swaps the two row halves of W; zipping a block's columns gives its rows
+    block = lambda r0, c0: IntMatrix._of(
+        g, g, tuple(chain.from_iterable(zip(*(col[r0 : r0 + g] for col in W[c0 : c0 + g]))))
+    )
+    return GluingData._trusted(block(g, 0), block(g, g), block(0, 0), block(0, g))

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import cos, fsum, gcd, lcm, pi, sin
+from math import cos, fsum, gcd, lcm, pi, prod, sin
 
 
 def det_laplace(rows):
@@ -284,6 +284,19 @@ def radical_order_scan(dims, gram_num, L):
         for a in product(*(range(d) for d in dims))
         if all(sum(a[i] * gram_num[i][j] for i in range(r)) % L == 0 for j in range(r))
     )
+
+
+def radical_order_smith(dims, L, gram_num):
+    """Order of the radical of the form gram_num / L on ⊕ ℤ/dᵢ, from a Smith form.
+
+    a ∈ ℤ^r lies in the radical lattice iff gᵀa ∈ Lℤ^r, g = gram_num.  With
+    the Smith form g = U·E·V, gᵀℤ^r + Lℤ^r = Vᵀ(Eℤ^r + Lℤ^r), so a ↦ gᵀa
+    takes Π L / gcd(eᵢ, L) values mod L, eᵢ the diagonal of E (here from
+    the determinantal divisors).  Since dᵢ·g_ij ≡ 0 (mod L), the lattice
+    ⊕ dᵢℤ lies in the radical lattice, so the radical has
+    |T|·Π gcd(eᵢ, L) / L^r elements.
+    """
+    return prod(dims) * prod(gcd(e, L) for e in minor_gcd_diagonal(gram_num)) // L ** len(dims)
 
 
 def fsum_phase_value(den, counts):

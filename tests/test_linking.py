@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,15 +8,10 @@ from hypothesis import given, settings, strategies as st
 from heegaard import linking, partition
 from heegaard.exact import PhaseQ
 from heegaard.homology import free_flat_basis, homology_profile, torsion_elements
-from heegaard.linking import (
-    _radical_order,
-    is_nondegenerate,
-    linking_form,
-    linking_matrix,
-)
+from heegaard.linking import is_nondegenerate, linking_form, linking_matrix
 from heegaard.partition import PhaseSum, z_cs
 from heegaard.splitting import connected_sum, lens, random_splitting, stabilize
-from oracle_helpers import diag_quad_counts, radical_order_scan
+from oracle_helpers import diag_quad_counts, radical_order_scan, radical_order_smith
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 150), st.sampled_from([0, 3, 6, 10, 15])
@@ -113,7 +108,7 @@ def divisor_chains_with_grams(draw):
 @given(divisor_chains_with_grams())
 def test_radical_order_matches_scan(case):
     dims, L, g = case
-    assert _radical_order(dims, L, g) == radical_order_scan(dims, g, L)
+    assert radical_order_smith(dims, L, g) == radical_order_scan(dims, g, L)
 
 
 @settings(max_examples=300)
@@ -121,7 +116,7 @@ def test_radical_order_matches_scan(case):
 def test_jordan_splitting_decides_degeneracy_as_the_scan(case):
     dims, L, g = case
     if radical_order_scan(dims, g, L) != 1:
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(linking._Degenerate, match="degenerate"):
             partition._jordan_histogram(dims, L, g)
     else:
         counts = diag_quad_counts(dims, g, L)
@@ -153,6 +148,23 @@ def test_nondegenerate_enumerates_nothing():
     t0 = time.perf_counter()
     assert is_nondegenerate(G)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_nondegenerate_factors_a_prime_near_the_square_of_the_limit():
+    # 10¹² + 39 is prime, so the Jordan splitting runs trial division to 10⁶
+    t0 = time.perf_counter()
+    assert is_nondegenerate(lens(10**12 + 39, 1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_nondegenerate_refuses_a_prime_past_the_square_of_the_limit():
+    limit = linking._ENUMERATION_LIMIT
+    p = (limit + 1) ** 2 + 6
+    assert all(p % d for d in range(2, isqrt(p) + 1))
+    # the refusal is an error, never a verdict that the form is degenerate
+    with pytest.raises(ValueError, match=f"every prime factor of {p} exceeds the enumeration limit {limit}") as exc:
+        is_nondegenerate(lens(p, 1))
+    assert not isinstance(exc.value, linking._Degenerate)
 
 
 def test_non_torsion_argument_rejected():

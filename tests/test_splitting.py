@@ -166,18 +166,57 @@ def test_violations_match_two_sided_evaluation(blocks):
     assert block_relation_violations(*blocks) == two_sided_relation_violations(*blocks)
 
 
-def test_validation_takes_eight_products(monkeypatch):
-    blocks = blocks_of(random_splitting(3, 0, 15))
+@given(candidate_blocks())
+@example(([[0, 0], [0, 0]], _I, _I, [[0, 0], [0, 0]]))
+def test_first_three_relations_decide_validity(blocks):
+    # M†JM = −J is Q†P = P†Q, S†R = R†S and P†S − Q†R = 1; it implies the other three
+    violations = two_sided_relation_violations(*blocks)
+    first_three = not [v for v in violations if v.startswith(("Q†P", "P†S", "S†R"))]
+    assert first_three == plain_anti_symplectic(*blocks) == (violations == [])
+    assert splitting._anti_symplectic(*splitting._coerce_blocks(*blocks)) == first_three
+
+
+def products_of_validation(monkeypatch, blocks) -> list:
+    """The (left, right) operand pairs of every IntMatrix product that validating blocks takes."""
     calls = []
     matmul = IntMatrix.__matmul__
 
     def counted(a, b):
-        calls.append((a.shape, b.shape))
+        calls.append((a, b))
         return matmul(a, b)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted)
-    GluingData(*blocks)
-    assert calls == [((3, 3), (3, 3))] * 8
+    try:
+        GluingData(*blocks)
+    except ValidationError:
+        pass
+    monkeypatch.undo()
+    return calls
+
+
+def test_valid_splitting_is_accepted_on_the_first_three_relations(monkeypatch):
+    G = random_splitting(3, 0, 15)
+    assert G.genus == 3 and G.P != IntMatrix.identity(3)
+    # no product at all, so in particular not RP†, SP† − QR† or SQ†
+    assert products_of_validation(monkeypatch, blocks_of(G)) == []
+
+
+def test_invalid_splitting_evaluates_all_six_relations(monkeypatch):
+    blocks = blocks_of(random_splitting(3, 0, 15))
+    blocks[3][1][2] += 1
+    R, P, S, Q = (IntMatrix.from_rows(b) for b in blocks)
+    calls = products_of_validation(monkeypatch, blocks)
+    assert calls == [
+        (Q.transpose(), P),
+        (P.transpose(), S),
+        (Q.transpose(), R),
+        (S.transpose(), R),
+        (R, P.transpose()),
+        (S, P.transpose()),
+        (Q, R.transpose()),
+        (S, Q.transpose()),
+    ]
+    assert block_relation_violations(*blocks) == two_sided_relation_violations(*blocks)
 
 
 @given(splitting_params)
@@ -335,9 +374,9 @@ def literal_word_blocks(genus, seed, word_length):
     vecs = splitting._transvection_vectors(genus)
     W = IntMatrix.identity(n)
     for _ in range(word_length):
-        v = vecs[rng.randrange(len(vecs))]
+        ones = vecs[rng.randrange(len(vecs))]
         c = rng.choice((1, -1))
-        col = IntMatrix(n, 1, v)
+        col = IntMatrix(n, 1, [int(j in ones) for j in range(n)])
         W = W @ (IntMatrix.identity(n) + (col @ (col.transpose() @ J)).scale(c))
     z, i = IntMatrix.zeros(genus, genus), IntMatrix.identity(genus)
     return matrix_to_blocks(blocks_to_matrix(z, i, i, z) @ W)
@@ -368,11 +407,13 @@ def test_random_splitting_refuses_past_enumeration_limit():
 
 
 def test_random_splitting_builds_the_largest_genus_quickly():
-    # a transvection word is valid by construction, so no g × g product is checked
-    t0 = time.perf_counter()
-    G = random_splitting(500, 0, 1)
-    assert time.perf_counter() - t0 < 5.0
-    assert G.genus == 500
+    # a transvection word is valid by construction, so no g × g product is
+    # checked, and each letter reads and rewrites at most two of the 2g columns
+    for length in (1, splitting._WORD_LENGTH_LIMIT):
+        t0 = time.perf_counter()
+        G = random_splitting(500, 0, length)
+        assert time.perf_counter() - t0 < 5.0
+        assert G.genus == 500
 
 
 def test_random_splitting_refuses_past_word_length_limit():
