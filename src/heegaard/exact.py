@@ -265,18 +265,19 @@ class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
 
 
 class SmithDecomposition(Frozen):
-    """Factorization A = U @ D @ V with U, V unimodular and D diagonal.
+    """Smith form D = U^-1 @ A @ V^-1 of A, kept as D and V^-1 only.
 
     Nonzero diagonal entries of D are positive and form a divisibility
     chain d1 | d2 | ... | dr; zeros trail.  The diagonal is canonical for
-    the input matrix, while U and V are not unique.  v_inverse is the
-    exact integer inverse of V, tracked alongside it.
+    the input matrix, while the unimodular U and V with A = U @ D @ V are
+    not unique.  Column j of A @ v_inverse is d_j times a column of U, and
+    zero for j >= rank; no step of the package reads U or V themselves.
     """
 
-    __slots__ = ("U", "D", "V", "v_inverse")
+    __slots__ = ("D", "v_inverse")
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, v_inverse: IntMatrix):
-        self._init(U, D, V, v_inverse)
+    def __init__(self, D: IntMatrix, v_inverse: IntMatrix):
+        self._init(D, v_inverse)
 
     @property
     def diagonal(self) -> tuple:
@@ -292,7 +293,7 @@ class SmithDecomposition(Frozen):
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with tracked unimodular transforms.
+    """Smith normal form with the column transform V^-1 tracked.
 
     Parameters
     ----------
@@ -302,8 +303,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     Returns
     -------
     SmithDecomposition
-        U, D, V and V^-1 with A = U @ D @ V exactly, U and V unimodular,
-        and the diagonal of D the canonical invariant-factor chain.
+        D and a unimodular V^-1 such that A = U @ D @ V for some unimodular
+        U, with the diagonal of D the canonical invariant-factor chain.
 
     Stage t moves to (t, t) the smallest nonzero entry of row t and
     column t (of the whole trailing block only when both are zero), then
@@ -313,28 +314,22 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     multiple of the pivot, its row is added to row t and the stage goes on.
     Either way the next pivot is a nonzero remainder, so |pivot| at least
     halves on every repeat and stage t ends after at most log2|pivot| + 2
-    passes.  Always reducing to the smallest remainder keeps the entries
-    of U, V and V^-1 small; floor quotients let them grow without bound.
+    passes.  Nearest-integer quotients slow the growth of V^-1, which
+    floor quotients let run away; nothing reduces the finished V^-1, so its
+    entries still grow with the size of A.
     """
     m, n = A.rows, A.cols
     work = [list(A.row(i)) for i in range(m)]
-    # A == U @ work @ V throughout; ut holds the columns of U and vit the
-    # columns of V^-1, so that every update below is a row update
-    ut = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    # work == U^-1 @ A @ V^-1 throughout; vit holds the columns of V^-1, so
+    # that its column updates are row updates
     vit = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def axpy(rows, i, j, c):  # rows[i] += c * rows[j]
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
 
-    def row_add(i, j, c):  # work row i += c * row j, so U col j -= c * col i
-        axpy(work, i, j, c)
-        axpy(ut, j, i, -c)
-
-    def col_add(i, j, c):  # work col i += c * col j, so V row j -= c * row i
+    def col_add(i, j, c):  # work col i += c * col j, and so V^-1 col i
         for row in work:
             row[i] += c * row[j]
-        axpy(v, j, i, -c)
         axpy(vit, i, j, c)
 
     for t in range(min(m, n)):
@@ -346,15 +341,13 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 break
             i, j = min(nz, key=lambda ij: abs(work[ij[0]][ij[1]]))
             work[t], work[i] = work[i], work[t]
-            ut[t], ut[i] = ut[i], ut[t]
             for row in work:
                 row[t], row[j] = row[j], row[t]
-            v[t], v[j] = v[j], v[t]
             vit[t], vit[j] = vit[j], vit[t]
             p = work[t][t]
             for i in range(t + 1, m):
                 if work[i][t]:
-                    row_add(i, t, -((2 * work[i][t] + p) // (2 * p)))
+                    axpy(work, i, t, -((2 * work[i][t] + p) // (2 * p)))
             for j in range(t + 1, n):
                 if work[t][j]:
                     col_add(j, t, -((2 * work[t][j] + p) // (2 * p)))
@@ -363,19 +356,13 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             bad = next((i for i in range(t + 1, m) if any(e % p for e in work[i][t + 1 :])), None)
             if bad is None:
                 break
-            row_add(t, bad, 1)
+            axpy(work, t, bad, 1)
         if work[t][t] < 0:
             work[t] = [-e for e in work[t]]
-            ut[t] = [-e for e in ut[t]]
-
-    def flat(rows):
-        return tuple(e for row in rows for e in row)
 
     return SmithDecomposition(
-        IntMatrix._of(m, m, flat(zip(*ut))),
-        IntMatrix._of(m, n, flat(work)),
-        IntMatrix._of(n, n, flat(v)),
-        IntMatrix._of(n, n, flat(zip(*vit))),
+        IntMatrix._of(m, n, tuple(e for row in work for e in row)),
+        IntMatrix._of(n, n, tuple(e for col in zip(*vit) for e in col)),
     )
 
 

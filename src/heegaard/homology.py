@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from .exact import Frozen, SmithDecomposition, frac_mod1, smith_normal_form, vec_dot
+from .exact import Frozen, IntMatrix, SmithDecomposition, determinant, frac_mod1, smith_normal_form, vec_dot
 from .splitting import GluingData, per_manifold
 
 
@@ -22,7 +22,8 @@ class HomologyProfile(Frozen, compared=("b1", "invariant_factors")):
     just before its b1 zeros.  torsion_columns[i] is the column of V^-1
     at that diagonal position of d_i, reduced mod d_i: an integer vector
     c_i with 0 <= c_i < d_i and P c_i in d_i Z^g, so that c_i / d_i is the
-    canonical representative of the i-th torsion generator.
+    canonical representative of the i-th torsion generator.  snf_of_P
+    holds D and V^-1 only; the columns of V^-1 past the rank span ker P.
     """
 
     __slots__ = ("b1", "invariant_factors", "torsion_order", "torsion_columns", "snf_of_P")
@@ -99,7 +100,7 @@ class TorsionElements(Sequence):
         snf = profile.snf_of_P
         self._dims = dims = profile.invariant_factors
         self._positions = range(snf.rank - len(dims), snf.rank)
-        self._v = snf.V
+        self._v_inverse = snf.v_inverse
         self._genus = G.genus
         self._order = profile.torsion_order
         # generator i is c_i / d_i (c_i = torsion_columns[i]); over the
@@ -144,12 +145,18 @@ class TorsionElements(Sequence):
 
         Raises ValueError if the vector carries a free-mode component or
         fails the integrality constraint, i.e. does not represent a torsion
-        class of coker P.
+        class of coker P.  It reads phi = V theta mod 1 only, so Cramer's rule
+        solves V^-1 phi = theta mod the common denominator of theta (det V^-1 = +-1).
         """
         theta = tuple(Fraction(x) for x in rep)
         if len(theta) != self._genus:
             raise ValueError("representative has wrong length")
-        phi = self._v.apply(theta)
+        den = lcm(*(x.denominator for x in theta))
+        nums = (tuple(int(x * den) % den for x in theta),)
+        vt = tuple(tuple(e % den for e in col) for col in self._v_inverse.transpose().to_rows())
+        sign = determinant(IntMatrix.from_rows(vt))  # the transpose has the same determinants
+        cramer = (determinant(IntMatrix.from_rows(vt[:i] + nums + vt[i + 1 :])) for i in range(len(vt)))
+        phi = [Fraction(sign * c % den, den) for c in cramer]
         index = []
         for d, pos in zip(self._dims, self._positions):
             a = frac_mod1(phi[pos]) * d

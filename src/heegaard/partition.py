@@ -537,7 +537,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     A second, sharper guard raises if any nonzero m in the window would
     alias to zero on the chosen grid (including m with B_f†m = 0), so a
     passing run certifies the delta reduction rather than assuming it.
-    |T| above _ENUMERATION_LIMIT raises ValueError.
+    |T| or (2·m_window + 1)^b1 · grid_n^b1 terms past _ENUMERATION_LIMIT raise ValueError.
     """
     _check_level(k)
     grid_n = index(grid_n)
@@ -556,6 +556,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
             raise ValueError(
                 f"grid_n = {grid_n} must be coprime to 2*k*m_window = {2 * k * m_window}"
             )
+        _check_enumerable("window labels x grid points", ((2 * m_window + 1) * grid_n) ** b1)
         lattice = curvature_lattice_basis(G)
         free_basis = free_flat_basis(G)
         g = G.genus

@@ -58,6 +58,33 @@ def minor_gcd_diagonal(rows, cols_n=None):
     return diag
 
 
+def assert_smith_certificate(rows, diag, v_inverse):
+    """Check that diag and v_inverse come from a Smith form A = U·D·V of rows.
+
+    v_inverse is a list of rows of V⁻¹.  The four checks hold exactly when
+    some unimodular U and V give A = U·D·V with D = diag(diag) and V⁻¹ the
+    given matrix: (i) diag is the determinantal-divisor diagonal; (ii) V⁻¹
+    is unimodular; (iii) column j of A·V⁻¹ is dⱼ·uⱼ for an integer uⱼ when
+    j < rank and zero otherwise; (iv) the uⱼ extend to a unimodular U, i.e.
+    the matrix of them has Smith diagonal all 1s.
+    """
+    n = len(rows)
+    m = len(rows[0])
+    assert list(diag) == minor_gcd_diagonal(rows), "canonical diagonal"
+    assert abs(det_laplace([list(r) for r in v_inverse])) == 1, "V⁻¹ unimodular"
+    rank = sum(1 for d in diag if d)
+    av = [[sum(rows[i][k] * v_inverse[k][j] for k in range(m)) for j in range(m)] for i in range(n)]
+    for j in range(m):
+        column = [av[i][j] for i in range(n)]
+        if j < rank:
+            assert all(x % diag[j] == 0 for x in column), f"column {j} of A·V⁻¹ not divisible by d{j}"
+        else:
+            assert not any(column), f"column {j} of A·V⁻¹ past the rank is nonzero"
+    if rank:
+        quotients = [[av[i][j] // diag[j] for j in range(rank)] for i in range(n)]
+        assert minor_gcd_diagonal(quotients) == [1] * rank, "A·V⁻¹·D⁺ does not extend to unimodular U"
+
+
 def adjugate(rows):
     n = len(rows)
     out = [[0] * n for _ in range(n)]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,7 +12,7 @@ import heegaard
 import heegaard.splitting as splitting
 from heegaard.cli import parse_manifold, run, serialize_manifold
 from heegaard.splitting import GluingData, ValidationError, connected_sum, lens, random_splitting
-from oracle_helpers import minor_gcd_diagonal
+from oracle_helpers import det_laplace, minor_gcd_diagonal
 
 
 @pytest.fixture()
@@ -185,6 +186,23 @@ def test_validate_ok(capture, lens_file):
     assert report["results"]["genus"] == 1
     assert report["results"]["determinant"] == -1
     assert report["input_digest"].startswith("sha256:")
+
+
+def test_valid_splittings_have_determinant_minus_one_to_the_genus(corpus):
+    # the identity the validate report rests on, pinned by cofactor expansion
+    lenses = [lens(p, q) for p in range(0, 12) for q in range(-p, p + 1) if gcd(p, q) == 1]
+    for G in corpus + lenses:
+        assert det_laplace(G.matrix.to_rows()) == (-1) ** G.genus
+
+
+def test_validate_at_genus_120_within_two_seconds(capture, tmp_path):
+    path = tmp_path / "g120.json"
+    path.write_text(serialize_manifold(random_splitting(120, 1, 2000)))
+    t0 = time.perf_counter()
+    code, out, err = capture("validate", str(path))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0, err
+    assert json.loads(out)["results"] == {"determinant": 1, "genus": 120}
 
 
 def test_validate_bad_relations_exit_2(capture, tmp_path):
@@ -393,6 +411,23 @@ def test_oracle_skips_the_grid_past_the_enumeration_limit(capture, tmp_path):
         "skipped": "|T| = 1000000000 exceeds the enumeration limit 1000000",
     }
     assert res["all_agree"] is True
+
+
+def test_oracle_skips_a_grid_rung_past_the_enumeration_limit(capture, tmp_path):
+    # b1 = 3 at a level divisible by every ladder prime below 23: the first
+    # coprime grid has (5 · 23)³ terms, refused at once instead of summed
+    G = connected_sum(connected_sum(lens(0, 1), lens(0, 1)), lens(0, 1))
+    path = tmp_path / "s1xs2_3.json"
+    path.write_text(serialize_manifold(G, "s1xs2^3"))
+    t0 = time.perf_counter()
+    code, out, err = capture("oracle", str(path), "--level", str(5 * 7 * 11 * 13 * 17 * 19))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+    assert checks["free_mode_grid"] == {
+        "name": "free_mode_grid",
+        "skipped": f"window labels x grid points = {115**3} exceeds the enumeration limit 1000000",
+    }
 
 
 def test_oracle_skips_refused_checks_on_a_large_lens(capture, lens_file):

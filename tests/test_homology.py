@@ -136,6 +136,35 @@ def test_index_of_rejects_non_torsion():
         T.index_of(TorsionRep((Fraction(1, 3),)))
 
 
+def mixed_radix(i, dims):
+    """Multi-index of element number i, last index fastest."""
+    index = []
+    for d in reversed(dims):
+        i, a = divmod(i, d)
+        index.append(a)
+    return tuple(reversed(index))
+
+
+def test_index_of_on_a_manifold_with_a_free_mode():
+    G = connected_sum(lens(5, 2), lens(0, 1))
+    assert homology_profile(G).b1 == 1
+    T = torsion_elements(G)
+    (f,) = free_flat_basis(G)
+    for i in range(len(T)):
+        shifted = tuple(x + n for x, n in zip(T[i], (3, -7)))
+        assert T.index_of(shifted) == mixed_radix(i, T.dims)
+        half_free = tuple(x + c / 2 for x, c in zip(T[i], f))
+        with pytest.raises(ValueError, match="outside the torsion subgroup"):
+            T.index_of(half_free)
+
+
+def test_index_of_decodes_every_element(corpus):
+    for G in corpus:
+        T = torsion_elements(G)
+        if len(T) <= 60:
+            assert [T.index_of(T[i]) for i in range(len(T))] == [mixed_radix(i, T.dims) for i in range(len(T))]
+
+
 def test_torsion_rep_behaves_like_sequence():
     rep = TorsionRep((Fraction(1, 2), Fraction(0)))
     assert len(rep) == 2

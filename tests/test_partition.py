@@ -182,7 +182,7 @@ COMPARED_SLOTS = {
     "PhaseQ": {"value": True},
     "PhaseSum": {"_den": True, "_counts": True, "_numeric": False},
     "GluingData": {"genus": True, "R": True, "P": True, "S": True, "Q": True, "_memo": False},
-    "SmithDecomposition": {"U": True, "D": True, "V": True, "v_inverse": True},
+    "SmithDecomposition": {"D": True, "v_inverse": True},
     "HomologyProfile": {
         "b1": True,
         "invariant_factors": True,
@@ -254,9 +254,9 @@ def test_values_of_different_types_never_compare_equal():
             assert (x == y) == (x is y)
     # equal keys, different types
     smith = smith_normal_form(IntMatrix.from_rows([[4, 6], [2, -8]]))
-    lm = with_slots(linking_matrix(lens(5, 2)), dims=smith.U, den=smith.D, num=smith.V, columns=smith.v_inverse)
-    assert lm._key(lm) == smith._key(smith)
-    assert lm != smith and smith != lm
+    hp = with_slots(homology_profile(lens(5, 2)), b1=smith.D, invariant_factors=smith.v_inverse)
+    assert hp._key(hp) == smith._key(smith)
+    assert hp != smith and smith != hp
 
 
 def test_eval_numeric_pinned():
@@ -803,6 +803,17 @@ def test_grid_oracle_refuses_before_the_torsion_loop(monkeypatch):
             free_mode_grid_oracle(G, k, 5, 2)
     with pytest.raises(ValueError, match="coprime"):
         free_mode_grid_oracle(G, 1, 4, 2)
+
+
+def test_grid_oracle_refuses_past_the_limit_before_the_window_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the window loop started")
+
+    monkeypatch.setattr(partition, "curvature_lattice_basis", refuse)
+    G = connected_sum(lens(0, 1), lens(0, 1))  # b1 = 2: 3² window labels × 1009² grid points
+    terms = 9 * 1009**2
+    with pytest.raises(ValueError, match=re.escape(f"= {terms} exceeds the enumeration limit {_ENUMERATION_LIMIT}")):
+        free_mode_grid_oracle(G, 1, 1009, 1)
 
 
 def torsion_factor_in_fractions(G, k):
