@@ -93,9 +93,11 @@ def _emit(obj):
 def parse_manifold(data: bytes) -> tuple:
     """Parse and fully validate manifold bytes into (GluingData, name).
 
-    Raises ValidationError for malformed JSON, wrong structure, dimension
-    mismatch, or violated block relations; the violation list is suitable
-    for a report.  name is None when the file has none.
+    Raises ValidationError for malformed JSON, wrong structure, a genus
+    whose (2g)² block entries pass _ENUMERATION_LIMIT (the cap `random`
+    applies, checked before any block is read), dimension mismatch, or
+    violated block relations; the violation list is suitable for a report.
+    name is None when the file has none.
     """
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -113,6 +115,10 @@ def parse_manifold(data: bytes) -> tuple:
     genus, name = obj["genus"], obj.get("name")
     if type(genus) is not int or genus < 1:
         raise ValidationError(["genus must be a positive integer"])
+    if (2 * genus) ** 2 > _ENUMERATION_LIMIT:
+        raise ValidationError(
+            [f"(2g)² at genus {genus} = {(2 * genus) ** 2} exceeds the enumeration limit {_ENUMERATION_LIMIT}"]
+        )
     for label in "RPSQ":
         block = obj[label]
         if (

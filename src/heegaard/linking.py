@@ -4,9 +4,9 @@ Gamma(theta, vartheta) = <Q theta, P vartheta> mod 1 on torsion
 representatives.  Symmetry and representative independence follow from the
 block relations and are asserted by the test suite rather than assumed.
 The form's orthogonal splitting into p-primary Jordan blocks
-(_jordan_blocks) is what partition builds Z_CS from, and it exists
-exactly when the form is nondegenerate, which is how is_nondegenerate
-decides.
+(_jordan_blocks) exists exactly when the form is nondegenerate.  It is
+run once per manifold (_jordan_splitting), and that one splitting is
+both how is_nondegenerate decides and what partition builds Z_CS from.
 """
 
 from __future__ import annotations
@@ -105,19 +105,30 @@ def is_nondegenerate(G: GluingData) -> bool:
     """True iff only the identity pairs to zero with every torsion class.
 
     A finite linking form has a Jordan splitting exactly when it is
-    nondegenerate (Wall, 1963; Kawauchi–Kojima, 1980), so this runs
-    _jordan_blocks on linking_matrix(G) and answers False only when that
-    reports a degenerate form; no torsion class is enumerated.  Its
-    factoring of the denominator can refuse past the enumeration limit
-    (_primary_parts), and that ValueError propagates.  A torsion-free
-    manifold gives the empty form, which is nondegenerate.
+    nondegenerate (Wall, 1963; Kawauchi–Kojima, 1980), so this reads the
+    manifold's one splitting (_jordan_splitting), which z_cs reads too,
+    and answers False only when that reports a degenerate form; no
+    torsion class is enumerated.  Its factoring of the denominator can
+    refuse past the enumeration limit (_primary_parts), and that
+    ValueError propagates.  A torsion-free manifold gives the empty form,
+    which is nondegenerate.
     """
-    lm = linking_matrix(G)
     try:
-        _jordan_blocks(lm.dims, lm.den, lm.num)
+        _jordan_splitting(G)
     except _Degenerate:
         return False
     return True
+
+
+@per_manifold
+def _jordan_splitting(G: GluingData) -> list:
+    """_jordan_blocks of linking_matrix(G), once per manifold.
+
+    A degenerate or refused form raises each time it is asked for, since
+    per_manifold keeps only values.
+    """
+    lm = linking_matrix(G)
+    return _jordan_blocks(lm.dims, lm.den, lm.num)
 
 
 def _primary_parts(n: int) -> list:

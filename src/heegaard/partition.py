@@ -9,17 +9,19 @@ every Z_BF sum does, evaluates exactly to an integer by Ramanujan sums;
 any other sum adds its terms with math.fsum.  Either way equal sums give
 bit-identical floats whatever the order of their bins.
 
-Neither sum enumerates the torsion group.  Z_CS splits the linking form
-orthogonally into p-primary Jordan blocks, ⟨u/pᶠ⟩ and, for p = 2, planes
-(Wall, 1963).  The histogram of Γ(θ,θ) over T is then the PhaseSum product
-of the blocks' histograms, built once per manifold in integer arithmetic
-over the common denominator L of the linking gram.  A level k remaps
-its bins n ↦ −k·n mod L; since k and k·s² give one sum for every unit
-s mod L, that is done once per manifold for each class of levels.  By
-nondegeneracy of the linking form, the Z_BF multiset follows from the
-invariant factors alone; it is written over its reduced denominator by
-one slice per divisor, once per manifold for each class of levels with
-the same gcd(k, d_r).  Only the oracles loop over T.
+Neither sum enumerates the torsion group.  Z_CS reads the manifold's one
+orthogonal splitting of the linking form into p-primary Jordan blocks,
+⟨u/pᶠ⟩ and, for p = 2, planes (Wall, 1963; linking._jordan_splitting,
+which is_nondegenerate reads too).  The histogram of Γ(θ,θ) over T is
+then the PhaseSum product of the blocks' histograms, built once per
+manifold in integer arithmetic over the common denominator L of the
+linking gram.  A level k remaps its bins n ↦ −k·n mod L; since k and
+k·s² give one sum for every unit s mod L, that is done once per manifold
+for each class of levels.  By nondegeneracy of the linking form, the
+Z_BF multiset follows from the invariant factors alone; it is written
+over its reduced denominator by one slice per divisor, once per manifold
+for each class of levels with the same gcd(k, d_r), and carries its
+exact integer value from then on.  Only the oracles loop over T.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import cos, fsum, gcd, lcm, pi, sin
-from operator import index
+from operator import index, mul
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
-from .homology import curvature_lattice_basis, free_flat_basis, homology_profile
-from .linking import _jordan_blocks, _primary_parts, is_nondegenerate, linking_matrix
+from .homology import _kernel_columns, curvature_lattice_basis, homology_profile
+from .linking import _jordan_splitting, _primary_parts, is_nondegenerate
 from .splitting import GluingData, _check_enumerable, per_manifold
 
 
@@ -208,13 +210,15 @@ def eval_numeric(S: PhaseSum) -> complex:
     A dense sum (every numerator 0 ≤ a < L present) whose multiplicity
     f(a) depends only on gcd(a, L) is evaluated exactly: the numerators
     with gcd(a, L) = e add up to the Ramanujan sum c_{L/e}(1) = μ(L/e), so
-    the value is the integer Σ_{e | L} f(e)·μ(L/e).  Z_BF sums always
-    take this path.  Every other sum adds mult·cos and mult·sin of
-    2π·(n/L) over its bins with math.fsum, which rounds the exact sum
-    once and so does not depend on the order of the bins; this path is
-    lossy.  Which path is taken depends on (L, bins) alone, so equal
-    PhaseSums give bit-identical floats.  The value is computed once per
-    PhaseSum instance and kept on it.
+    the value is the integer Σ_{e | L} f(e)·μ(L/e).  Every Z_BF sum is
+    of this kind, and z_bf stores that integer when it builds the sum, so
+    its bins are not read here; a pickled copy, which carries no value,
+    finds the same integer on this path.  Every other sum adds mult·cos
+    and mult·sin of 2π·(n/L) over its bins with math.fsum, which rounds
+    the exact sum once and so does not depend on the order of the bins;
+    this path is lossy.  Which path is taken depends on (L, bins) alone,
+    so equal PhaseSums give bit-identical floats.  The value is computed
+    once per PhaseSum instance and kept on it.
     """
     value = S._numeric
     if value is None:
@@ -279,17 +283,18 @@ def _block_histogram(p: int, r: int, rows) -> PhaseSum:
     return PhaseSum._canonical(r, counts)
 
 
-def _jordan_histogram(dims, den: int, num) -> PhaseSum:
-    """PhaseSum of Γ(θ,θ) over θ ∈ ⊕ ℤ/dᵢ, Γ(genᵢ, genⱼ) = num[i][j]/den.
+def _jordan_histogram(blocks) -> PhaseSum:
+    """PhaseSum of Γ(θ,θ) over the group of these Jordan blocks.
 
+    blocks is a Jordan splitting [(p, r, rows)] (linking._jordan_blocks).
     Γ(θ,θ) of an orthogonal sum is the sum of the parts' values, so the
-    histogram is the PhaseSum product of the histograms of the Jordan
-    blocks (linking._jordan_blocks).  The work is the classes of the
-    largest block and the bin pairs of each product, both at most |T|,
-    and each is checked against _ENUMERATION_LIMIT before it is spent.
+    histogram is the PhaseSum product of the histograms of the blocks.
+    The work is the classes of the largest block and the bin pairs of
+    each product, both at most |T|, and each is checked against
+    _ENUMERATION_LIMIT before it is spent.
     """
     hist = None
-    for p, r, rows in _jordan_blocks(dims, den, num):
+    for p, r, rows in blocks:
         block = _block_histogram(p, r, rows)
         if hist is None:
             hist = block
@@ -302,14 +307,26 @@ def _jordan_histogram(dims, den: int, num) -> PhaseSum:
 @per_manifold
 def _cs_histogram(G: GluingData) -> PhaseSum:
     """PhaseSum of Γ(θ,θ) over the torsion classes, every level's source."""
-    lm = linking_matrix(G)
-    return _jordan_histogram(lm.dims, lm.den, lm.num)
+    return _jordan_histogram(_jordan_splitting(G))
 
 
 @per_manifold
 def _cs_classes(G: GluingData) -> tuple:
-    """The prime powers of the histogram's denominator, and z_cs's sums by level class."""
-    return _primary_parts(_cs_histogram(G)._den), {}
+    """The prime powers of the histogram's denominator, and z_cs's sums by level class.
+
+    That denominator divides the form's, so its primes are among those of
+    the Jordan blocks; each block prime's power is divided out of it, with
+    no second factoring.
+    """
+    L = _cs_histogram(G)._den
+    parts = []
+    for p, _, _ in _jordan_splitting(G):  # p increasing; a repeated p no longer divides L
+        if L % p == 0:
+            q = 1
+            while L % p == 0:
+                L, q = L // p, q * p
+            parts.append((p, q))
+    return parts, {}
 
 
 def z_cs(G: GluingData, k: int) -> PhaseSum:
@@ -423,7 +440,8 @@ def z_bf(G: GluingData, k: int) -> PhaseSum:
     unit modulo d_r/g, so kθ and gθ have the same order for every θ and
     the sums at k and at g are equal.  The level is checked, and d_r
     against the enumeration limit, before anything is looked up; the sum
-    of class g is then built once per manifold (_z_bf_class) and every
+    of class g is then built once per manifold (_z_bf_class), with its
+    exact integer value already in place for eval_numeric, and every
     level of the class returns that same object.  G keeps at most one
     sum per divisor of d_r, σ(d_r) bins in all, and frees them with G.
     """
@@ -446,7 +464,12 @@ def _z_bf_class(G: GluingData, k: int) -> PhaseSum:
     proper divisors (_peel) leaves by_order[n], the number with
     ord(kθ) = n.  The numerator a over L then has multiplicity
     Σ_{b | n | L} #{ord(kθ) = n}·|T|/n with b = L/gcd(a, L), which
-    _gcd_class_fill writes in O(σ(L)) slice writes.  Cost
+    _gcd_class_fill writes in O(σ(L)) slice writes.  The sum holds the
+    numerator 1 (or is {0: |T|²} when L = 1), so it is already over its
+    reduced denominator.  Its value is the integer _gcd_class_sum would
+    find in these bins, Σ_{e | L} mult(e)·μ(L/e), and it is stored on the
+    sum here, so eval_numeric never reads the L bins; a value past the
+    range of a float is left for eval_numeric to refuse, as before.  Cost
     O(#divisors(L)² + σ(L)).
     """
     profile = homology_profile(G)
@@ -456,11 +479,15 @@ def _z_bf_class(G: GluingData, k: int) -> PhaseSum:
     by_order = _peel(divisors, lambda n: profile.kernel_count(n * k))
     size = profile.torsion_order
 
-    def mult(e):  # multiplicity of the numerators a with gcd(a, L) = e
-        b = L // e
-        return sum(c * size // n for n, c in by_order.items() if n % b == 0)
-
-    return PhaseSum._from_counts(L, dict(enumerate(_gcd_class_fill(L, divisors, mult))))
+    mult = {  # multiplicity of the numerators a with gcd(a, L) = e
+        e: sum(c * size // n for n, c in by_order.items() if n % (L // e) == 0) for e in divisors
+    }
+    S = PhaseSum._canonical(L, dict(enumerate(_gcd_class_fill(L, divisors, mult.__getitem__))))
+    try:
+        object.__setattr__(S, "_numeric", complex(_peel(divisors, mult.__getitem__)[L], 0.0))
+    except OverflowError:
+        pass
+    return S
 
 
 def z_bf_closed_form(G: GluingData, k: int) -> int:
@@ -532,7 +559,9 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     holonomies pinned to zero.  On a grid coprime to 2k·m_window the
     average reproduces the Kronecker delta, only m = 0 survives, and the
     value must land on eval_numeric(z_cs(G, k)).  The torsion factor is
-    _torsion_factor's literal loop over T.
+    _torsion_factor's literal loop over T.  The window loop runs in
+    integers too and rounds each term's phase once, so its terms are
+    bit-identical to the same loop in Fractions.
 
     A second, sharper guard raises if any nonzero m in the window would
     alias to zero on the chosen grid (including m with B_f†m = 0), so a
@@ -549,7 +578,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     profile = homology_profile(G)
     _check_enumerable("|T|", profile.torsion_order)
     b1 = profile.b1
-    pairings = []  # <f, m> over the free basis, per window label m
+    pairings = []  # 2k·<f, m> over the free basis, per window label m
     if b1:
         # every refusal comes before the |T| loop, which the CLI's grid ladder repeats
         if gcd(grid_n, 2 * k * m_window) != 1:
@@ -558,14 +587,14 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
             )
         _check_enumerable("window labels x grid points", ((2 * m_window + 1) * grid_n) ** b1)
         lattice = curvature_lattice_basis(G)
-        free_basis = free_flat_basis(G)
+        free_basis = _kernel_columns(G)  # free_flat_basis, as the integers it holds
         g = G.genus
         for coeffs in product(range(-m_window, m_window + 1), repeat=b1):
             m = tuple(
                 sum(c * lattice[j][i] for j, c in enumerate(coeffs)) for i in range(g)
             )
-            w = [vec_dot(f, m) for f in free_basis]
-            if any(coeffs) and all((2 * k * wc) % grid_n == 0 for wc in w):
+            w = [2 * k * vec_dot(f, m) for f in free_basis]
+            if any(coeffs) and all(wc % grid_n == 0 for wc in w):
                 raise ValueError(
                     "grid aliasing: a nonzero curvature label survives the grid "
                     "average; enlarge grid_n"
@@ -574,11 +603,12 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
     torsion_part = _torsion_factor(G, k)
     if b1 == 0:
         return torsion_part
+    # each term's phase is the rational ⟨t, w⟩/grid_n mod 1, held as its
+    # integer numerator; int / int rounds it once, as float(Fraction) does
     total = 0j
     for w in pairings:
         avg = 0j
         for tvec in product(range(grid_n), repeat=b1):
-            dot = Fraction(sum(tc * wc for tc, wc in zip(tvec, w)), grid_n)
-            avg += cmath.exp(-2j * pi * float(frac_mod1(2 * k * dot)))
+            avg += cmath.exp(-2j * pi * (sum(map(mul, tvec, w)) % grid_n / grid_n))
         total += (avg / grid_n**b1) * torsion_part
     return total

@@ -359,3 +359,27 @@ def fraction_torsion_factor(q_rows, p_rows, reps, k):
         gamma = sum(a * b for a, b in zip(q_theta, p_theta)) % 1
         total += cmath.exp(-2j * pi * float(k * gamma % 1))
     return total
+
+
+def fraction_grid_window(lattice, free_basis, k, grid_n, m_window, torsion_part):
+    """The grid oracle's window loop for b1 > 0, in Fractions.
+
+    For each coefficient vector in [−m_window, m_window]^b1 (itertools
+    order), m = Σ cⱼ·latticeⱼ and w = ⟨f, m⟩ per free basis vector f; the
+    grid average over t ∈ [0, grid_n)^b1 adds e^{−2πi·(2k·⟨t, w⟩/grid_n
+    mod 1)} with that rational reduced as a Fraction and only then made a
+    float.  Returns Σ_m (average / grid_n^b1)·torsion_part, summed in the
+    same order as the library loop.  No aliasing check.
+    """
+    b1 = len(lattice)
+    g = len(lattice[0]) if lattice else 0
+    total = 0j
+    for coeffs in product(range(-m_window, m_window + 1), repeat=b1):
+        m = [sum(c * lattice[j][i] for j, c in enumerate(coeffs)) for i in range(g)]
+        w = [sum(Fraction(a) * b for a, b in zip(f, m)) for f in free_basis]
+        avg = 0j
+        for tvec in product(range(grid_n), repeat=b1):
+            dot = Fraction(sum(tc * wc for tc, wc in zip(tvec, w)), grid_n)
+            avg += cmath.exp(-2j * pi * float(2 * k * dot % 1))
+        total += (avg / grid_n**b1) * torsion_part
+    return total

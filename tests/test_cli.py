@@ -216,6 +216,25 @@ def test_validate_bad_relations_exit_2(capture, tmp_path):
     assert report["results"] == {}
 
 
+def test_genus_past_the_enumeration_limit_exits_2_before_any_block_is_read(capture, tmp_path):
+    path = tmp_path / "big.json"
+    # empty blocks: the genus alone is refused, before the blocks are looked at
+    path.write_text('{"genus":501,"R":[],"P":[],"S":[],"Q":[]}')
+    code, out, err = capture("validate", str(path))
+    assert code == 2, err
+    report = json.loads(out)
+    assert report["validation"]["violations"] == [
+        f"(2g)² at genus 501 = 1004004 exceeds the enumeration limit {splitting._ENUMERATION_LIMIT}"
+    ]
+    # genus 500 is accepted, so its bad blocks are reported as before
+    path.write_text('{"genus":500,"R":[],"P":[],"S":[],"Q":[]}')
+    code, out, err = capture("validate", str(path))
+    assert code == 2, err
+    assert json.loads(out)["validation"]["violations"] == [
+        "dimension mismatch: block R must be a 500x500 integer array"
+    ]
+
+
 def test_missing_file_exit_1(capture):
     code, out, err = capture("validate", "/nonexistent/thing.json")
     assert code == 1

@@ -10,7 +10,7 @@ from heegaard.exact import PhaseQ
 from heegaard.homology import free_flat_basis, homology_profile, torsion_elements
 from heegaard.linking import is_nondegenerate, linking_form, linking_matrix
 from heegaard.partition import PhaseSum, z_cs
-from heegaard.splitting import connected_sum, lens, random_splitting, stabilize
+from heegaard.splitting import GluingData, connected_sum, lens, random_splitting, stabilize
 from oracle_helpers import diag_quad_counts, radical_order_scan, radical_order_smith
 
 splitting_params = st.tuples(
@@ -117,11 +117,11 @@ def test_jordan_splitting_decides_degeneracy_as_the_scan(case):
     dims, L, g = case
     if radical_order_scan(dims, g, L) != 1:
         with pytest.raises(linking._Degenerate, match="degenerate"):
-            partition._jordan_histogram(dims, L, g)
+            partition._jordan_histogram(linking._jordan_blocks(dims, L, g))
     else:
         counts = diag_quad_counts(dims, g, L)
         want = PhaseSum({Fraction(n, L): c for n, c in counts.items()})
-        assert partition._jordan_histogram(dims, L, g) == want
+        assert partition._jordan_histogram(linking._jordan_blocks(dims, L, g)) == want
 
 
 def assert_nondegenerate_by_scan(G):
@@ -140,6 +140,32 @@ def test_nondegenerate_on_lens_spaces_and_corpus(corpus):
     assert small
     for G in small:
         assert_nondegenerate_by_scan(G)
+
+
+def test_one_splitting_and_one_factoring_per_manifold(monkeypatch, corpus):
+    splits, factorings = [], []
+    blocks, parts = linking._jordan_blocks, linking._primary_parts
+
+    def counting_blocks(*args):
+        splits.append(args)
+        return blocks(*args)
+
+    def counting_parts(n):
+        factorings.append(n)
+        return parts(n)
+
+    monkeypatch.setattr(linking, "_jordan_blocks", counting_blocks)
+    monkeypatch.setattr(linking, "_primary_parts", counting_parts)
+    monkeypatch.setattr(partition, "_primary_parts", counting_parts)
+    for G in [connected_sum(lens(45, 7), lens(60, 11)), *corpus]:
+        G = GluingData(G.R, G.P, G.S, G.Q)  # a fresh memo
+        splits.clear()
+        factorings.clear()
+        assert is_nondegenerate(G)
+        for k in range(1, 13):
+            z_cs(G, k)
+        assert is_nondegenerate(G)
+        assert (len(splits), len(factorings)) == (1, 1)
 
 
 def test_nondegenerate_enumerates_nothing():

@@ -16,7 +16,13 @@ from hypothesis import assume, given, strategies as st
 import heegaard.partition as partition
 from heegaard.exact import IntMatrix, PhaseQ, frac_mod1, smith_normal_form
 from heegaard.fields import FiniteDBClass
-from heegaard.homology import TorsionRep, homology_profile, torsion_elements
+from heegaard.homology import (
+    TorsionRep,
+    curvature_lattice_basis,
+    free_flat_basis,
+    homology_profile,
+    torsion_elements,
+)
 from heegaard.linking import _jordan_blocks, is_nondegenerate, linking_matrix
 from heegaard.partition import (
     PhaseSum,
@@ -39,6 +45,7 @@ from heegaard.splitting import (
 from oracle_helpers import (
     bf_pair_histogram,
     diag_quad_counts,
+    fraction_grid_window,
     fraction_torsion_factor,
     fsum_phase_value,
     mobius,
@@ -446,7 +453,7 @@ def in_random_basis(blocks, rng):
 def assert_jordan_matches_scan(dims, den, num):
     """The library histogram equals the test-side enumeration; returns the blocks split off."""
     with mock.patch.object(partition, "_block_histogram", wraps=partition._block_histogram) as spy:
-        got = partition._jordan_histogram(dims, den, num)
+        got = partition._jordan_histogram(_jordan_blocks(dims, den, num))
     counts = diag_quad_counts(dims, num, den)
     assert got == PhaseSum({Fraction(n, den): c for n, c in counts.items()})
     assert got.total_terms == prod(dims)
@@ -502,17 +509,17 @@ def test_jordan_splitting_reaches_the_plane_branch():
 def test_jordan_splitting_refuses_degenerate_forms():
     # den below the exponent: ℤ/2 with the zero form
     with pytest.raises(ValueError, match="degenerate"):
-        partition._jordan_histogram((2,), 1, ((0,),))
+        partition._jordan_histogram(_jordan_blocks((2,), 1, ((0,),)))
     # den is the exponent, but ℤ/2 ⊕ ℤ/4 with ⟨1/4⟩ ⊕ 0 pairs the ℤ/2 to zero
     with pytest.raises(ValueError, match="degenerate"):
-        partition._jordan_histogram((2, 4), 4, ((0, 0), (0, 1)))
+        partition._jordan_histogram(_jordan_blocks((2, 4), 4, ((0, 0), (0, 1))))
     # an odd prime: ℤ/3 ⊕ ℤ/9 with ⟨1/9⟩ ⊕ 0
     with pytest.raises(ValueError, match="degenerate"):
-        partition._jordan_histogram((3, 9), 9, ((0, 0), (0, 1)))
+        partition._jordan_histogram(_jordan_blocks((3, 9), 9, ((0, 0), (0, 1))))
     # rank 1, den the exponent, but the one entry is not a unit
     for case in [((22,), 22, ((6,),)), ((16,), 16, ((8,),)), ((4,), 4, ((0,),))]:
         with pytest.raises(ValueError, match="degenerate"):
-            partition._jordan_histogram(*case)
+            partition._jordan_histogram(_jordan_blocks(*case))
 
 
 @pytest.mark.parametrize("n, units", [(1000, (3, 7, 11)), (1024, (1, 3, 5))])
@@ -635,6 +642,58 @@ def test_eval_numeric_identical_on_equal_sums_built_apart():
         for other in (make(), clone, copy.copy(S), copy.deepcopy(S)):
             assert other is not S and other == S and hash(other) == hash(S)
             assert repr(eval_numeric(other)) == value
+
+
+def assert_z_bf_value_kept_from_birth(G, levels):
+    """The value stored when z_bf builds a sum is the one its bins give."""
+    for k in levels:
+        S = z_bf(G, k)
+        assert S._numeric is not None
+        want = repr(partition._evaluate(S._den, S._counts))
+        assert repr(eval_numeric(S)) == want
+        clone = pickle.loads(pickle.dumps(S))
+        assert clone._numeric is None
+        assert repr(eval_numeric(clone)) == want
+
+
+def test_z_bf_value_kept_from_birth_on_lens_spaces():
+    for p in range(1, 61):
+        for q in range(-p + 1, p):
+            if gcd(p, q) == 1:
+                assert_z_bf_value_kept_from_birth(lens(p, q), (1, 2, 3, 4, 6, 12))
+
+
+def test_z_bf_value_kept_from_birth_on_corpus(corpus):
+    for G in corpus:
+        assert_z_bf_value_kept_from_birth(G, (1, 2, 3, 6))
+
+
+def test_z_bf_and_its_value_list_divisors_once_per_gcd_class(monkeypatch):
+    calls = []
+    divisors = partition._divisors
+
+    def counting(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(partition, "_divisors", counting)
+    for G, top in [(lens(60, 7), 60), (connected_sum(lens(45, 7), lens(60, 11)), 180)]:
+        calls.clear()
+        for k in range(1, top + 1):
+            eval_numeric(z_bf(G, k))
+        # one build per gcd class g, each listing the divisors of top / g
+        assert sorted(calls) == [d for d in range(1, top + 1) if top % d == 0]
+
+
+def test_z_bf_past_the_float_range_builds_and_refuses_only_its_value():
+    G = lens(1000, 1)
+    for _ in range(51):
+        G = connected_sum(G, lens(1000, 1))
+    S = z_bf(G, 1000)  # k = d_r: every pair gives phase 0, |T|² = 10³¹² terms
+    assert S.to_mapping() == {"0/1": 10**312}
+    with pytest.raises(OverflowError):
+        eval_numeric(S)
+    assert eval_numeric(z_bf(G, 1)) == complex(10**156, 0.0)
 
 
 def assert_z_bf_dense_and_exact(G, levels):
@@ -829,6 +888,25 @@ def test_grid_torsion_factor_is_bit_identical_to_the_fraction_loop(corpus):
             assert repr(partition._torsion_factor(G, k)) == want
             if homology_profile(G).b1 == 0:
                 assert repr(free_mode_grid_oracle(G, k, 5, 2)) == want
+
+
+def test_grid_window_is_bit_identical_to_the_fraction_loop():
+    b1_one = [lens(0, 1), random_splitting(2, 7, 4), connected_sum(lens(5, 2), lens(0, 1))]
+    b1_two = [connected_sum(lens(0, 1), lens(0, 1)), connected_sum(connected_sum(lens(3, 1), lens(0, 1)), lens(0, -1))]
+    assert [homology_profile(G).b1 for G in b1_one + b1_two] == [1, 1, 1, 2, 2]
+    for G in b1_one + b1_two:
+        lattice, free = curvature_lattice_basis(G), free_flat_basis(G)
+        for k, grid_n, m_window in [(1, 5, 2), (2, 7, 1), (3, 11, 2), (5, 13, 1)]:
+            torsion_part = torsion_factor_in_fractions(G, k)
+            want = fraction_grid_window(lattice, free, k, grid_n, m_window, torsion_part)
+            assert repr(free_mode_grid_oracle(G, k, grid_n, m_window)) == repr(want)
+
+
+def test_grid_oracle_near_the_window_limit_within_three_seconds():
+    t0 = time.perf_counter()
+    value = free_mode_grid_oracle(lens(0, 1), 1, 200003, 1)  # 3 · 200003 window terms
+    assert time.perf_counter() - t0 < 3.0
+    assert abs(value - 1) < 1e-9
 
 
 def test_grid_oracle_answers_on_eight_thousand_classes_within_a_second():
