@@ -51,8 +51,9 @@ print(f"  Gamma(shifted, theta) = {linking_form(G, shifted, theta).value}")
 
 print()
 print("== group law carried by the representatives ==")
-a, b = T[2], T[4]
-s = T.add(a, b)
+ia, ib = (2,), (4,)                             # multi-indices of T[2], T[4]
+a, b = T.by_index(ia), T.by_index(ib)
+s = T.by_index(tuple((x + y) % d for x, y, d in zip(ia, ib, T.dims)))  # T[6]
 lhs = linking_form(G, s, T[1])
 rhs = linking_form(G, a, T[1]) + linking_form(G, b, T[1])
 print(f"  Gamma(a+b, c) = {lhs.value},  Gamma(a,c) + Gamma(b,c) = {rhs.value}")

@@ -14,7 +14,7 @@ from heegaard import (
     bf_action,
     cs_action,
     db_pair,
-    integer_kernel,
+    homology_profile,
     lens,
     torsion_elements,
     zero_mode_shift,
@@ -43,8 +43,8 @@ print(f"  diagonal BF with cross = smooth_self reproduces CS: "
 print()
 print("== zero modes: S^1 x S^2 has ker P = Z, and shifts cost nothing ==")
 H = lens(0, 1)
-kernel = integer_kernel(H.P)
-print(f"  integer kernel of P: {kernel}")
+kernel = homology_profile(H).kernel_columns
+print(f"  integer kernel of P: {list(kernel)}")
 C = FiniteDBClass(H, m=(2,), holonomy=(Fraction(3, 7),))
 k = 2
 u = kernel[0]

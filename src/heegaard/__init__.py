@@ -14,7 +14,6 @@ from .exact import (
     SmithDecomposition,
     determinant,
     frac_mod1,
-    integer_kernel,
     smith_normal_form,
     vec_dot,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SmithDecomposition",
     "determinant",
     "frac_mod1",
-    "integer_kernel",
     "smith_normal_form",
     "vec_dot",
     "FiniteDBClass",

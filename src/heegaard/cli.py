@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exact import IntMatrix, determinant, vec_dot
-from .homology import curvature_lattice_basis, free_flat_basis, homology_profile
+from .homology import curvature_lattice_basis, homology_profile
 from .linking import linking_matrix
 from .partition import (
     eval_numeric,
@@ -272,14 +272,11 @@ def _free_pairing_degenerate(G) -> bool:
     reject every grid).  Both kernels have dimension b1, so the pairing
     matrix is square and degeneracy is just det = 0.
     """
-    free = free_flat_basis(G)
-    curv = curvature_lattice_basis(G)
+    free = homology_profile(G).kernel_columns
     if not free:
         return False
-    pairing = IntMatrix.from_rows(
-        [[int(vec_dot(f, m)) for m in curv] for f in free]
-    )
-    return determinant(pairing) == 0
+    curv = curvature_lattice_basis(G)
+    return determinant(IntMatrix.from_rows([[vec_dot(f, m) for m in curv] for f in free])) == 0
 
 
 def _grid_oracle_with_retries(G, k):

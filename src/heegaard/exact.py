@@ -183,9 +183,6 @@ class IntMatrix(Frozen):
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of(self.rows, self.cols, tuple(-a for a in self.entries))
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [c * a for a in self.entries])
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product; vec entries may be int or Fraction."""
         if len(vec) != self.cols:
@@ -364,22 +361,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         IntMatrix._of(m, n, tuple(e for row in work for e in row)),
         IntMatrix._of(n, n, tuple(e for col in zip(*vit) for e in col)),
     )
-
-
-def integer_kernel(A: IntMatrix) -> list:
-    """Basis of the integer kernel lattice {x in Z^cols : A @ x = 0}.
-
-    The basis vectors are the columns of V^-1 (from the Smith form
-    A = U D V) that line up with zero diagonal entries, so the lattice
-    they span is saturated: any integer solution is an integer combination
-    of them.
-    """
-    snf = smith_normal_form(A)
-    r = snf.rank
-    if r == A.cols:
-        return []
-    vinv = snf.v_inverse
-    return [vinv.col(j) for j in range(r, A.cols)]
 
 
 def determinant(A: IntMatrix) -> int:

@@ -1,41 +1,39 @@
 """First homology of the glued manifold as the cokernel of the P block.
 
 The Smith form P = U D V turns coker P into Z^{b1} + sum of Z_{d_i}.
-Torsion classes get canonical rational representatives theta in [0,1)^g
-with P theta integral, built from the torsion columns of V^-1 over d_r.
+homology_profile is the one reader of that form: it keeps the invariant
+factors, the torsion columns of V^-1 reduced mod d_i (canonical rational
+representatives theta = c_i / d_i with P theta integral) and the kernel
+columns of V^-1, a saturated integer basis of ker P.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
-from .exact import Frozen, IntMatrix, SmithDecomposition, determinant, frac_mod1, smith_normal_form, vec_dot
+from .exact import Frozen, smith_normal_form, vec_dot
 from .splitting import GluingData, per_manifold
 
 
 class HomologyProfile(Frozen, compared=("b1", "invariant_factors")):
-    """Free rank, invariant factors, torsion columns, and their Smith data.
+    """Free rank, invariant factors, torsion columns and kernel columns.
 
     The invariant factors d_1 | ... | d_r sit on the Smith diagonal of P
     just before its b1 zeros.  torsion_columns[i] is the column of V^-1
     at that diagonal position of d_i, reduced mod d_i: an integer vector
     c_i with 0 <= c_i < d_i and P c_i in d_i Z^g, so that c_i / d_i is the
-    canonical representative of the i-th torsion generator.  snf_of_P
-    holds D and V^-1 only; the columns of V^-1 past the rank span ker P.
+    canonical representative of the i-th torsion generator.
+    kernel_columns are the b1 columns of V^-1 past the rank, unreduced: a
+    saturated basis of the integer lattice ker P.
     """
 
-    __slots__ = ("b1", "invariant_factors", "torsion_order", "torsion_columns", "snf_of_P")
+    __slots__ = ("b1", "invariant_factors", "torsion_order", "torsion_columns", "kernel_columns")
 
-    def __init__(self, b1: int, invariant_factors: tuple, snf_of_P: SmithDecomposition):
+    def __init__(self, b1: int, invariant_factors: tuple, torsion_columns: tuple, kernel_columns: tuple):
         factors = tuple(invariant_factors)
-        first = snf_of_P.rank - len(factors)
-        vinv = snf_of_P.v_inverse
-        columns = tuple(
-            tuple(x % d for x in vinv.col(first + i)) for i, d in enumerate(factors)
-        )
-        self._init(b1, factors, prod(factors, start=1), columns, snf_of_P)
+        self._init(b1, factors, prod(factors, start=1), tuple(torsion_columns), tuple(kernel_columns))
 
     def kernel_count(self, k: int) -> int:
         """|{theta in T : k.theta = 0}| = prod of gcd(k, d_i), the k-torsion count."""
@@ -78,30 +76,35 @@ def homology_profile(G: GluingData) -> HomologyProfile:
     """H1 of the glued manifold: b1 plus the invariant factors of coker P.
 
     Factors equal to 1 are dropped; b1 counts the zero diagonal entries of
-    the Smith form of P.
+    the Smith form of P.  Only the torsion and kernel columns of V^-1 are
+    kept; the Smith form itself is dropped here.
     """
     snf = smith_normal_form(G.P)
-    diag = snf.diagonal
-    b1 = sum(1 for d in diag if d == 0)
+    diag, vinv, rank = snf.diagonal, snf.v_inverse, snf.rank
     factors = tuple(d for d in diag if d >= 2)
-    return HomologyProfile(b1, factors, snf)
+    first = rank - len(factors)
+    return HomologyProfile(
+        len(diag) - rank,
+        factors,
+        (tuple(x % d for x in vinv.col(first + i)) for i, d in enumerate(factors)),
+        (vinv.col(j) for j in range(rank, G.genus)),
+    )
 
 
 class TorsionElements(Sequence):
     """The torsion subgroup of coker P as a random-access sequence.
 
-    Element number k corresponds to the mixed-radix multi-index over the
-    invariant factors (last index fastest), so any element can be built
-    from its position alone.  The identity sits at k = 0.
+    A view over the invariant factors and torsion columns of
+    homology_profile.  Element number k corresponds to the mixed-radix
+    multi-index over the invariant factors (last index fastest), so any
+    element can be built from its position alone; multi-indices add
+    componentwise mod d_i, which is the group law.  The identity sits at
+    k = 0.
     """
 
     def __init__(self, G: GluingData):
-        self._profile = profile = homology_profile(G)
-        snf = profile.snf_of_P
+        profile = homology_profile(G)
         self._dims = dims = profile.invariant_factors
-        self._positions = range(snf.rank - len(dims), snf.rank)
-        self._v_inverse = snf.v_inverse
-        self._genus = G.genus
         self._order = profile.torsion_order
         # generator i is c_i / d_i (c_i = torsion_columns[i]); over the
         # common denominator den = d_r its numerators are (den/d_i) * c_i,
@@ -140,58 +143,15 @@ class TorsionElements(Sequence):
         den = self._den
         return TorsionRep(tuple(Fraction(vec_dot(index, row) % den, den) for row in self._gen_nums))
 
-    def index_of(self, rep) -> tuple:
-        """Multi-index of any torsion representative (not just canonical ones).
-
-        Raises ValueError if the vector carries a free-mode component or
-        fails the integrality constraint, i.e. does not represent a torsion
-        class of coker P.  It reads phi = V theta mod 1 only, so Cramer's rule
-        solves V^-1 phi = theta mod the common denominator of theta (det V^-1 = +-1).
-        """
-        theta = tuple(Fraction(x) for x in rep)
-        if len(theta) != self._genus:
-            raise ValueError("representative has wrong length")
-        den = lcm(*(x.denominator for x in theta))
-        nums = (tuple(int(x * den) % den for x in theta),)
-        vt = tuple(tuple(e % den for e in col) for col in self._v_inverse.transpose().to_rows())
-        sign = determinant(IntMatrix.from_rows(vt))  # the transpose has the same determinants
-        cramer = (determinant(IntMatrix.from_rows(vt[:i] + nums + vt[i + 1 :])) for i in range(len(vt)))
-        phi = [Fraction(sign * c % den, den) for c in cramer]
-        index = []
-        for d, pos in zip(self._dims, self._positions):
-            a = frac_mod1(phi[pos]) * d
-            if a.denominator != 1:
-                raise ValueError(f"coordinate {pos} is not a multiple of 1/{d}")
-            index.append(int(a))
-        for pos in range(self._genus):
-            if pos not in self._positions and frac_mod1(phi[pos]) != 0:
-                raise ValueError("vector has a component outside the torsion subgroup")
-        return tuple(index)
-
-    def add(self, a: TorsionRep, b: TorsionRep) -> TorsionRep:
-        """Group sum with the result re-canonicalized."""
-        ia, ib = self.index_of(a), self.index_of(b)
-        return self.by_index(tuple((x + y) % d for x, y, d in zip(ia, ib, self._dims)))
-
-    def kernel_count(self, k: int) -> int:
-        """|{theta : k.theta = identity}|, the k-torsion count."""
-        return self._profile.kernel_count(k)
-
 
 def torsion_elements(G: GluingData) -> TorsionElements:
     """All torsion classes of coker P, identity included, as canonical reps."""
     return TorsionElements(G)
 
 
-def _kernel_columns(G: GluingData) -> list:
-    # columns rank..g−1 of V⁻¹ in the Smith form of P: a saturated basis of ker P
-    snf = homology_profile(G).snf_of_P
-    return [snf.v_inverse.col(j) for j in range(snf.rank, G.genus)]
-
-
 def free_flat_basis(G: GluingData) -> list:
     """Q-basis of the free flat modes {x in Q^g : P x = 0}; dimension b1."""
-    return [tuple(map(Fraction, c)) for c in _kernel_columns(G)]
+    return [tuple(map(Fraction, c)) for c in homology_profile(G).kernel_columns]
 
 
 def curvature_lattice_basis(G: GluingData) -> list:
@@ -199,6 +159,7 @@ def curvature_lattice_basis(G: GluingData) -> list:
 
     By the block relations Q maps the integer lattice ker P one-to-one
     (S†P − R†Q = 1) onto ker P† (m = Q(−R†m) with RP† = PR†), so Q applied
-    to the kernel columns of P's Smith form is a basis; no second one runs.
+    to the kernel columns of homology_profile is a basis; no second Smith
+    form runs.
     """
-    return [G.Q.apply(c) for c in _kernel_columns(G)]
+    return [G.Q.apply(c) for c in homology_profile(G).kernel_columns]

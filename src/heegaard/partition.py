@@ -34,7 +34,7 @@ from math import cos, fsum, gcd, lcm, pi, sin
 from operator import index, mul
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
-from .homology import _kernel_columns, curvature_lattice_basis, homology_profile
+from .homology import curvature_lattice_basis, homology_profile
 from .linking import _jordan_splitting, _primary_parts, is_nondegenerate
 from .splitting import GluingData, _check_enumerable, per_manifold
 
@@ -529,7 +529,8 @@ def _torsion_factor(G: GluingData, k: int) -> complex:
     The grid oracle's torsion factor; it reads neither linking_matrix nor
     z_cs.  The class of multi-index a, in TorsionElements order (last
     index fastest), is θ = y/d_r with y = Σ aᵢ·(d_r/dᵢ)·cᵢ mod d_r, cᵢ the
-    torsion columns, so Γ(θ,θ) = ⟨Qy, Py⟩/d_r² = yᵀ(QᵀP)y/d_r² mod 1.
+    torsion columns of homology_profile, so
+    Γ(θ,θ) = ⟨Qy, Py⟩/d_r² = yᵀ(QᵀP)y/d_r² mod 1.
     P·cᵢ ∈ dᵢℤ^g is checked once per generator, which by linearity makes
     every θ a torsion representative.  Each term is the float of the
     rational k·Γ(θ,θ) mod 1 that linking_form gives, so the terms and the
@@ -556,7 +557,8 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
 
     Sums curvature labels m over a coefficient window of the ker P†
     lattice and averages the free flat mode over a uniform grid, with
-    holonomies pinned to zero.  On a grid coprime to 2k·m_window the
+    holonomies pinned to zero.  The free modes are the integer kernel
+    columns of homology_profile.  On a grid coprime to 2k·m_window the
     average reproduces the Kronecker delta, only m = 0 survives, and the
     value must land on eval_numeric(z_cs(G, k)).  The torsion factor is
     _torsion_factor's literal loop over T.  The window loop runs in
@@ -587,7 +589,7 @@ def free_mode_grid_oracle(G: GluingData, k: int, grid_n: int, m_window: int) -> 
             )
         _check_enumerable("window labels x grid points", ((2 * m_window + 1) * grid_n) ** b1)
         lattice = curvature_lattice_basis(G)
-        free_basis = _kernel_columns(G)  # free_flat_basis, as the integers it holds
+        free_basis = profile.kernel_columns
         g = G.genus
         for coeffs in product(range(-m_window, m_window + 1), repeat=b1):
             m = tuple(

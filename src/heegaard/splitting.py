@@ -163,16 +163,6 @@ class GluingData(Frozen, compared=("genus", "R.entries", "P.entries", "S.entries
         """The full 2g x 2g gluing matrix [[R, P], [S, Q]]."""
         return blocks_to_matrix(self.R, self.P, self.S, self.Q)
 
-    @property
-    def matrix_inverse(self) -> IntMatrix:
-        """Closed-form inverse [[−Q†, P†], [S†, −R†]] of the gluing matrix."""
-        return blocks_to_matrix(
-            -self.Q.transpose(),
-            self.P.transpose(),
-            self.S.transpose(),
-            -self.R.transpose(),
-        )
-
     def __repr__(self) -> str:
         return (
             f"GluingData(genus={self.genus}, R={self.R.to_rows()}, "

@@ -85,6 +85,40 @@ def assert_smith_certificate(rows, diag, v_inverse):
         assert minor_gcd_diagonal(quotients) == [1] * rank, "A·V⁻¹·D⁺ does not extend to unimodular U"
 
 
+def mixed_radix(i, dims):
+    """Multi-index of element number i, last index fastest."""
+    index = []
+    for d in reversed(dims):
+        i, a = divmod(i, d)
+        index.append(a)
+    return tuple(reversed(index))
+
+
+def index_sum(dims, *elements):
+    """Multi-index of the group sum of the given element numbers."""
+    return tuple(sum(xs) % d for *xs, d in zip(*(mixed_radix(i, dims) for i in elements), dims))
+
+
+def same_torsion_class(p_rows, theta, theta_prime):
+    """True when θ and θ′ (P·θ and P·θ′ integral) name one class of coker P.
+
+    The class of θ is P·θ mod P·ℤ^g, so they agree iff v = P·(θ − θ′) lies
+    in the column lattice of P.  v lies in the rational span of the
+    columns, so appending it keeps the rank r, and the gcd of the r × r
+    minors (the product of the nonzero determinantal-divisor diagonal) is
+    the index of a column lattice in its saturation: it stays the same
+    exactly when the lattice does.
+    """
+    diff = [Fraction(a) - Fraction(b) for a, b in zip(theta, theta_prime)]
+    v = [sum(a * x for a, x in zip(row, diff)) for row in p_rows]
+    if any(x.denominator != 1 for x in v):
+        raise ValueError("not a torsion representative: P·θ is not integral")
+    extended = [list(row) + [int(x)] for row, x in zip(p_rows, v)]
+    return prod(d for d in minor_gcd_diagonal(extended) if d) == prod(
+        d for d in minor_gcd_diagonal(p_rows) if d
+    )
+
+
 def adjugate(rows):
     n = len(rows)
     out = [[0] * n for _ in range(n)]

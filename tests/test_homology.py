@@ -1,12 +1,12 @@
+import pickle
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, strategies as st
 
 import heegaard.exact
 import heegaard.homology
-from heegaard.exact import integer_kernel
+from heegaard.exact import smith_normal_form
 from heegaard.homology import (
     HomologyProfile,
     TorsionRep,
@@ -19,8 +19,11 @@ from heegaard.splitting import connected_sum, lens, random_splitting
 from oracle_helpers import (
     abelian_order_multiset,
     cokernel_order_multiset,
+    index_sum,
     merge_invariant_factors,
     minor_gcd_diagonal,
+    mixed_radix,
+    same_torsion_class,
 )
 
 splitting_params = st.tuples(
@@ -38,9 +41,15 @@ def test_profile_pinned_lens():
 
 
 def test_profile_takes_factors_from_a_generator():
-    snf = homology_profile(lens(5, 1)).snf_of_P
-    profile = HomologyProfile(0, (d for d in [5]), snf)
+    built = homology_profile(lens(5, 1))
+    profile = HomologyProfile(0, (d for d in [5]), built.torsion_columns, built.kernel_columns)
     assert (profile.invariant_factors, profile.torsion_order) == ((5,), 5)
+
+
+def test_profile_keeps_columns_not_the_smith_form():
+    """A genus-20 profile holds its two column sets, not the full V⁻¹."""
+    profile = homology_profile(random_splitting(20, 1, 2000))
+    assert len(pickle.dumps(profile)) < 10_000
 
 
 def test_profile_pinned_connected_sum():
@@ -72,15 +81,24 @@ def test_group_structure_matches_residue_enumeration(params):
     )
 
 
-def brute_order(T, idx):
-    one = idx
-    acc = idx
-    n = 1
-    zero = tuple(0 for _ in T.dims)
-    while acc != zero:
-        acc = tuple((x + y) % d for x, y, d in zip(acc, one, T.dims))
-        n += 1
-    return n
+def assert_distinct_classes(G, T):
+    """T[0], ..., T[|T|−1] are |T| distinct classes of coker P.
+
+    With gⱼ = by_index(eⱼ): dⱼ·gⱼ is in the class of 0, T[i] is in the
+    class of Σ aⱼ·gⱼ for a = mixed_radix(i), and only T[0] is in the class
+    of 0.  So a ↦ [T[i]] is a homomorphism from ⊕ ℤ/dⱼ with trivial kernel.
+    """
+    rows = G.P.to_rows()
+    zero = (0,) * G.genus
+    r = len(T.dims)
+    gens = [T.by_index(tuple(int(i == j) for j in range(r))) for i in range(r)]
+    for d, gen in zip(T.dims, gens):
+        assert same_torsion_class(rows, [d * x for x in gen], zero)
+    for i in range(len(T)):
+        a = mixed_radix(i, T.dims)
+        combo = [sum(ai * gen[c] for ai, gen in zip(a, gens)) for c in range(G.genus)]
+        assert same_torsion_class(rows, T[i], combo)
+        assert same_torsion_class(rows, T[i], zero) == (i == 0)
 
 
 @given(splitting_params)
@@ -94,18 +112,15 @@ def test_torsion_elements_group_law(params):
     reps = list(T)
     assert len({rep for rep in reps}) == len(T)
     for i, rep in enumerate(reps):
-        assert T.index_of(rep) is not None
         assert T[i] == rep
         # every representative is a genuine torsion flat parameter
         assert all(x.denominator == 1 for x in G.P.apply(tuple(rep)))
-    if len(T) > 60:
-        reps = reps[:25]
-    for a in reps[:8]:
-        for b in reps[:8]:
-            ia = T.index_of(a)
-            ib = T.index_of(b)
-            expected = tuple((x + y) % d for x, y, d in zip(ia, ib, T.dims))
-            assert T.index_of(T.add(a, b)) == expected
+    assert_distinct_classes(G, T)
+    rows = G.P.to_rows()
+    for i in range(min(len(T), 8)):
+        for j in range(min(len(T), 8)):
+            total = T.by_index(index_sum(T.dims, i, j))
+            assert same_torsion_class(rows, total, [x + y for x, y in zip(T[i], T[j])])
 
 
 @given(splitting_params, st.integers(1, 7))
@@ -114,13 +129,10 @@ def test_kernel_count_matches_brute_force(params, k):
     T = torsion_elements(G)
     if len(T) > 500:
         return
-    zero = tuple(0 for _ in T.dims)
-    brute = 0
-    for idx_rep in T:
-        idx = T.index_of(idx_rep)
-        if tuple((k * x) % d for x, d in zip(idx, T.dims)) == zero:
-            brute += 1
-    assert T.kernel_count(k) == brute
+    rows = G.P.to_rows()
+    zero = (0,) * G.genus
+    brute = sum(same_torsion_class(rows, [k * x for x in rep], zero) for rep in T)
+    assert homology_profile(G).kernel_count(k) == brute
 
 
 def test_torsion_rep_pinned_lens5():
@@ -130,39 +142,22 @@ def test_torsion_rep_pinned_lens5():
     ]
 
 
-def test_index_of_rejects_non_torsion():
-    T = torsion_elements(lens(5, 1))
-    with pytest.raises(ValueError):
-        T.index_of(TorsionRep((Fraction(1, 3),)))
-
-
-def mixed_radix(i, dims):
-    """Multi-index of element number i, last index fastest."""
-    index = []
-    for d in reversed(dims):
-        i, a = divmod(i, d)
-        index.append(a)
-    return tuple(reversed(index))
-
-
-def test_index_of_on_a_manifold_with_a_free_mode():
+def test_torsion_classes_on_a_manifold_with_a_free_mode():
     G = connected_sum(lens(5, 2), lens(0, 1))
     assert homology_profile(G).b1 == 1
     T = torsion_elements(G)
-    (f,) = free_flat_basis(G)
+    assert_distinct_classes(G, T)
+    rows = G.P.to_rows()
     for i in range(len(T)):
         shifted = tuple(x + n for x, n in zip(T[i], (3, -7)))
-        assert T.index_of(shifted) == mixed_radix(i, T.dims)
-        half_free = tuple(x + c / 2 for x, c in zip(T[i], f))
-        with pytest.raises(ValueError, match="outside the torsion subgroup"):
-            T.index_of(half_free)
+        assert [same_torsion_class(rows, shifted, T[j]) for j in range(len(T))] == [j == i for j in range(len(T))]
 
 
-def test_index_of_decodes_every_element(corpus):
+def test_torsion_elements_are_distinct_classes(corpus):
     for G in corpus:
         T = torsion_elements(G)
         if len(T) <= 60:
-            assert [T.index_of(T[i]) for i in range(len(T))] == [mixed_radix(i, T.dims) for i in range(len(T))]
+            assert_distinct_classes(G, T)
 
 
 def test_torsion_rep_behaves_like_sequence():
@@ -200,7 +195,8 @@ def test_curvature_lattice_is_saturated_and_spans_ker_P_transpose(corpus):
     for G in curvature_cases(corpus):
         b1 = homology_profile(G).b1
         basis = curvature_lattice_basis(G)
-        kernel = integer_kernel(G.P.transpose())
+        snf = smith_normal_form(G.P.transpose())
+        kernel = [snf.v_inverse.col(j) for j in range(snf.rank, G.genus)]
         assert len(basis) == len(kernel) == b1
         if not b1:
             continue
@@ -209,6 +205,18 @@ def test_curvature_lattice_is_saturated_and_spans_ker_P_transpose(corpus):
         # both saturated of rank b1, and together of rank b1: the same lattice
         stacked = minor_gcd_diagonal(basis + kernel)
         assert stacked[:b1] == [1] * b1 and not any(stacked[b1:])
+
+
+def test_kernel_columns_are_a_saturated_basis_of_ker_P(corpus):
+    for G in [*curvature_cases(corpus), connected_sum(lens(5, 2), lens(0, 1))]:
+        profile = homology_profile(G)
+        columns = [list(c) for c in profile.kernel_columns]
+        assert len(columns) == profile.b1
+        for c in columns:
+            assert all(isinstance(x, int) for x in c)
+            assert G.P.apply(c) == (0,) * G.genus
+        if columns:
+            assert minor_gcd_diagonal(columns) == [1] * profile.b1
 
 
 def test_curvature_lattice_reuses_the_smith_form_of_P(corpus, monkeypatch):
@@ -230,6 +238,6 @@ def test_curvature_lattice_reuses_the_smith_form_of_P(corpus, monkeypatch):
 def test_lens_kernel_count_closed_form(p, q, k):
     if gcd(p, q) != 1:
         return
-    T = torsion_elements(lens(p, q))
-    assert T.dims == (p,)
-    assert T.kernel_count(k) == gcd(k, p)
+    G = lens(p, q)
+    assert torsion_elements(G).dims == (p,)
+    assert homology_profile(G).kernel_count(k) == gcd(k, p)

@@ -16,6 +16,53 @@ from heegaard.partition import PhaseSum, free_mode_grid_oracle, gauss_sum_oracle
 from heegaard.splitting import lens
 
 
+def test_public_names():
+    assert heegaard.__all__ == [
+        "IntMatrix",
+        "PhaseQ",
+        "RationalQ",
+        "SmithDecomposition",
+        "determinant",
+        "frac_mod1",
+        "smith_normal_form",
+        "vec_dot",
+        "FiniteDBClass",
+        "bf_action",
+        "cs_action",
+        "db_pair",
+        "zero_mode_shift",
+        "HomologyProfile",
+        "TorsionElements",
+        "TorsionRep",
+        "curvature_lattice_basis",
+        "free_flat_basis",
+        "homology_profile",
+        "torsion_elements",
+        "LinkingMatrix",
+        "is_nondegenerate",
+        "linking_form",
+        "linking_matrix",
+        "PhaseSum",
+        "eval_numeric",
+        "free_mode_grid_oracle",
+        "gauss_sum_oracle",
+        "z_bf",
+        "z_bf_closed_form",
+        "z_cs",
+        "GluingData",
+        "ValidationError",
+        "anti_symplectic_check",
+        "block_relation_violations",
+        "connected_sum",
+        "intersection_form",
+        "lens",
+        "random_splitting",
+        "stabilize",
+        "validate",
+    ]
+    assert all(hasattr(heegaard, name) for name in heegaard.__all__)
+
+
 def test_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(heegaard.__file__))
     code = "import sys, heegaard; assert 'numpy' not in sys.modules"

@@ -229,8 +229,9 @@ def test_valid_determinant_sign(params):
 def test_matrix_inverse_closed_form(params):
     G = random_splitting(*params)
     ident = IntMatrix.identity(2 * G.genus)
-    assert G.matrix @ G.matrix_inverse == ident
-    assert G.matrix_inverse @ G.matrix == ident
+    inverse = blocks_to_matrix(-G.Q.transpose(), G.P.transpose(), G.S.transpose(), -G.R.transpose())
+    assert G.matrix @ inverse == ident
+    assert inverse @ G.matrix == ident
 
 
 def test_block_matrix_roundtrip():
@@ -377,7 +378,8 @@ def literal_word_blocks(genus, seed, word_length):
         ones = vecs[rng.randrange(len(vecs))]
         c = rng.choice((1, -1))
         col = IntMatrix(n, 1, [int(j in ones) for j in range(n)])
-        W = W @ (IntMatrix.identity(n) + (col @ (col.transpose() @ J)).scale(c))
+        scaled = IntMatrix(n, 1, [c * int(j in ones) for j in range(n)])
+        W = W @ (IntMatrix.identity(n) + scaled @ (col.transpose() @ J))
     z, i = IntMatrix.zeros(genus, genus), IntMatrix.identity(genus)
     return matrix_to_blocks(blocks_to_matrix(z, i, i, z) @ W)
 
