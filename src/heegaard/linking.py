@@ -5,8 +5,9 @@ representatives.  Symmetry and representative independence follow from the
 block relations and are asserted by the test suite rather than assumed.
 The form's orthogonal splitting into p-primary Jordan blocks
 (_jordan_blocks) exists exactly when the form is nondegenerate.  It is
-run once per manifold (_jordan_splitting), and that one splitting is
-both how is_nondegenerate decides and what partition builds Z_CS from.
+run once per manifold and put in a normal form (_jordan_splitting), and
+that one splitting is both how is_nondegenerate decides and what
+partition builds and shares Z_CS from.
 """
 
 from __future__ import annotations
@@ -121,14 +122,38 @@ def is_nondegenerate(G: GluingData) -> bool:
 
 
 @per_manifold
-def _jordan_splitting(G: GluingData) -> list:
-    """_jordan_blocks of linking_matrix(G), once per manifold.
+def _jordan_splitting(G: GluingData) -> tuple:
+    """_jordan_blocks of linking_matrix(G) in a normal form, once per manifold.
 
-    A degenerate or refused form raises each time it is asked for, since
+    A tuple of (p, r, rows as tuples), hashable, in the order
+    _jordan_blocks gives.  The unit u of a cyclic block ⟨u/r⟩ becomes 1
+    when (u | p) = 1 and the least non-residue mod p otherwise, for odd
+    p, and u mod min(8, r) for p = 2: each is u·s² for a unit s mod r,
+    the same block up to isomorphism (Wall, 1963).  2-adic planes stay as
+    split.  Equal splittings are therefore isomorphic forms, with equal
+    histograms of Γ(θ, θ), which partition shares between manifolds.  A
+    degenerate or refused form raises each time it is asked for, since
     per_manifold keeps only values.
     """
     lm = linking_matrix(G)
-    return _jordan_blocks(lm.dims, lm.den, lm.num)
+    out = []
+    for p, r, rows in _jordan_blocks(lm.dims, lm.den, lm.num):
+        if len(rows) == 1:
+            rows = [[_normal_unit(p, r, rows[0][0])]]
+        out.append((p, r, tuple(map(tuple, rows))))
+    return tuple(out)
+
+
+def _normal_unit(p: int, r: int, u: int) -> int:
+    """The representative of u's square class mod r, r a power of p."""
+    if p == 2:
+        return u % min(8, r)
+    if pow(u, (p - 1) // 2, p) == 1:  # Euler's criterion
+        return 1
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:
+        n += 1
+    return n
 
 
 def _primary_parts(n: int) -> list:

@@ -12,12 +12,15 @@ bit-identical floats whatever the order of their bins.
 Neither sum enumerates the torsion group.  Z_CS reads the manifold's one
 orthogonal splitting of the linking form into p-primary Jordan blocks,
 ⟨u/pᶠ⟩ and, for p = 2, planes (Wall, 1963; linking._jordan_splitting,
-which is_nondegenerate reads too).  The histogram of Γ(θ,θ) over T is
-then the PhaseSum product of the blocks' histograms, built once per
-manifold in integer arithmetic over the common denominator L of the
-linking gram.  A level k remaps its bins n ↦ −k·n mod L; since k and
-k·s² give one sum for every unit s mod L, that is done once per manifold
-for each class of levels.  By nondegeneracy of the linking form, the
+which is_nondegenerate reads too), in a normal form that fixes the form
+up to isomorphism.  The histogram of Γ(θ,θ) over T is then the PhaseSum
+product of the blocks' histograms, in integer arithmetic over the common
+denominator L of the linking gram.  A level k remaps its bins
+n ↦ −k·n mod L; since k and k·s² give one sum for every unit s mod L,
+that is done once for each class of levels.  Both are done once per
+normalized splitting, not per manifold: one module table (_CS_FORMS),
+bounded in bins, shares them between manifolds with isomorphic forms.
+By nondegeneracy of the linking form, the
 Z_BF multiset follows from the invariant factors alone; it is written
 over its reduced denominator by one slice per divisor, once per manifold
 for each class of levels with the same gcd(k, d_r), and carries its
@@ -36,7 +39,7 @@ from operator import index, mul
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile
 from .linking import _jordan_splitting, _primary_parts, is_nondegenerate
-from .splitting import GluingData, _check_enumerable, per_manifold
+from .splitting import _ENUMERATION_LIMIT, GluingData, _check_enumerable, per_manifold
 
 
 class PhaseSum(Frozen, compared=("_den", "_counts")):
@@ -304,52 +307,77 @@ def _jordan_histogram(blocks) -> PhaseSum:
     return hist if hist is not None else PhaseSum._canonical(1, {0: 1})
 
 
-@per_manifold
-def _cs_histogram(G: GluingData) -> PhaseSum:
-    """PhaseSum of Γ(θ,θ) over the torsion classes, every level's source."""
-    return _jordan_histogram(_jordan_splitting(G))
+# normalized Jordan splitting -> (histogram, prime powers, sums by level class)
+_CS_FORMS = {}
+_CS_BINS = [0]  # bins held in _CS_FORMS, histograms and sums together
+
+
+def _hold(bins: int) -> bool:
+    """Count bins added to _CS_FORMS; if they would pass the limit, empty it and return False."""
+    if _CS_BINS[0] + bins > _ENUMERATION_LIMIT:
+        _CS_FORMS.clear()
+        _CS_BINS[0] = 0
+        return False
+    _CS_BINS[0] += bins
+    return True
 
 
 @per_manifold
-def _cs_classes(G: GluingData) -> tuple:
-    """The prime powers of the histogram's denominator, and z_cs's sums by level class.
+def _cs_form(G: GluingData) -> tuple:
+    """z_cs's source: the Γ(θ,θ) histogram, its prime powers and the sums by level class.
 
-    That denominator divides the form's, so its primes are among those of
-    the Jordan blocks; each block prime's power is divided out of it, with
-    no second factoring.
+    The histogram is over T, the prime powers those of its denominator.
+    Looked up in _CS_FORMS by the normalized Jordan splitting, which
+    fixes the form up to isomorphism and so the histogram, and built on a
+    miss.  The histogram's denominator divides the form's, so its primes
+    are among those of the blocks; each block prime's power is divided
+    out of it, with no second factoring.  A table emptied by _hold frees
+    only what no live manifold's memo still holds.
     """
-    L = _cs_histogram(G)._den
-    parts = []
-    for p, _, _ in _jordan_splitting(G):  # p increasing; a repeated p no longer divides L
-        if L % p == 0:
-            q = 1
-            while L % p == 0:
-                L, q = L // p, q * p
-            parts.append((p, q))
-    return parts, {}
+    blocks = _jordan_splitting(G)
+    form = _CS_FORMS.get(blocks)
+    if form is None:
+        hist = _jordan_histogram(blocks)
+        L = hist._den
+        parts = []
+        for p, _, _ in blocks:  # p increasing; a repeated p no longer divides L
+            if L % p == 0:
+                q = 1
+                while L % p == 0:
+                    L, q = L // p, q * p
+                parts.append((p, q))
+        form = hist, parts, {}
+        if not _hold(len(hist)):
+            _CS_BINS[0] = len(hist)  # the emptied table holds this form alone
+        _CS_FORMS[blocks] = form
+    return form
 
 
 def z_cs(G: GluingData, k: int) -> PhaseSum:
     """Exact CS partition sum: one term −k·Γ(θ,θ) per torsion class.
 
-    The histogram of Γ(θ,θ) over T is built once per manifold and kept on
-    G (_cs_histogram), as a product of Jordan blocks' histograms with no
-    loop over T (_jordan_histogram); level k maps each numerator n over
-    its denominator L to −k·n mod L.  For a unit s mod L, θ ↦ sθ permutes
+    The histogram of Γ(θ,θ) over T is a product of Jordan blocks'
+    histograms with no loop over T (_jordan_histogram), built once per
+    normalized Jordan splitting and shared by every manifold with that
+    splitting (_cs_form); level k maps each numerator n over its
+    denominator L to −k·n mod L.  For a unit s mod L, θ ↦ sθ permutes
     T and Γ(sθ, sθ) = s²·Γ(θ, θ), so the levels k and k·s² give one sum.
     Their class is read at each pᵉ ‖ L: v = min(v_p(k), e) and, if v < e,
     the square class of the unit u = k/pᵛ mod p^{e−v}, which is the
     Legendre symbol (u | p) for odd p and u mod min(8, 2^{e−v}) for p = 2.
     The sum of a class is remapped once, at the first of its levels asked
-    for, and kept on G (_cs_classes); every level of the class returns
-    that same object, so eval_numeric runs once per class too.  The
+    for, and kept with the histogram; every level of the class, on every
+    manifold sharing the splitting, returns that same object, so
+    eval_numeric runs once per class too.  The table holding them keeps
+    at most _ENUMERATION_LIMIT bins and is emptied when an insert would
+    pass that; G keeps its own record in its memo.  The
     identity class contributes phase 0, so the sphere normalizes to
     {0: 1}.  A Jordan block or a product of block histograms past
     _ENUMERATION_LIMIT raises ValueError.
     """
     _check_level(k)
-    hist = _cs_histogram(G)
-    parts, sums = _cs_classes(G)
+    form = _cs_form(G)
+    hist, parts, sums = form
     key = []
     for p, q in parts:
         u, pv = k, 1
@@ -374,6 +402,8 @@ def z_cs(G: GluingData, k: int) -> PhaseSum:
                 n = n * mk % L
                 counts[n] = counts.get(n, 0) + c
             S = PhaseSum._from_counts(L, counts)
+        if _CS_FORMS.get(_jordan_splitting(G)) is form:  # else an emptying dropped it
+            _hold(len(S))
         sums[key] = S
     return S
 

@@ -23,7 +23,7 @@ from heegaard.homology import (
     homology_profile,
     torsion_elements,
 )
-from heegaard.linking import _jordan_blocks, is_nondegenerate, linking_matrix
+from heegaard.linking import _jordan_blocks, _jordan_splitting, is_nondegenerate, linking_matrix
 from heegaard.partition import (
     PhaseSum,
     eval_numeric,
@@ -316,6 +316,12 @@ def test_z_cs_term_values_match_literal_loop():
     assert fresh(G, k, z_cs) == expected
 
 
+def empty_cs_forms(monkeypatch):
+    """Give z_cs an empty shared table, with its bin count, for one test."""
+    monkeypatch.setattr(partition, "_CS_FORMS", {})
+    monkeypatch.setattr(partition, "_CS_BINS", [0])
+
+
 def test_z_cs_enumerates_once_per_manifold(monkeypatch):
     calls = []
     build = partition._jordan_histogram
@@ -325,14 +331,63 @@ def test_z_cs_enumerates_once_per_manifold(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(partition, "_jordan_histogram", counting)
+    empty_cs_forms(monkeypatch)
     G = lens(7, 3)
     for k in range(1, 7):
         z_cs(G, k)
     assert len(calls) == 1
-    again = GluingData(G.R, G.P, G.S, G.Q)
-    for k in range(1, 7):
-        assert z_cs(again, k) == z_cs(G, k)
+    # an equal manifold, and L(7, 5) with an isomorphic form (3 and 5 are
+    # both non-residues mod 7), build nothing and return the same sums
+    for again in (GluingData(G.R, G.P, G.S, G.Q), lens(7, 5)):
+        for k in range(1, 7):
+            assert z_cs(again, k) is z_cs(G, k)
+    assert len(calls) == 1
+    assert z_cs(lens(7, 1), 1) != z_cs(G, 1)
     assert len(calls) == 2
+
+
+def test_equal_splittings_have_equal_histograms(monkeypatch, corpus):
+    members = [lens(p, q) for p in range(2, 61) for q in range(-p + 1, p) if gcd(p, q) == 1]
+    members += [G for G in corpus if 1 < homology_profile(G).torsion_order <= 600]
+    groups = {}
+    for G in members:
+        lm = linking_matrix(G)
+        counts = diag_quad_counts(lm.dims, lm.num, lm.den)
+        hist = {Fraction(n, lm.den): c for n, c in counts.items()}  # over reduced denominators
+        groups.setdefault(_jordan_splitting(G), []).append((G, hist))
+    assert len(groups) < len(members) // 5
+    for (G, hist), *rest in groups.values():
+        assert all(other == hist for _, other in rest)
+        empty_cs_forms(monkeypatch)
+        for k in range(1, 7):
+            assert z_cs(G, k) == PhaseSum([(-k * x, c) for x, c in hist.items()])
+
+
+def test_shared_forms_hold_at_most_the_enumeration_limit(monkeypatch):
+    empty_cs_forms(monkeypatch)
+
+    def held():
+        forms = partition._CS_FORMS.values()
+        return sum(len(hist) + sum(map(len, sums.values())) for hist, _, sums in forms)
+
+    first, kept = {}, lens(999983, 3)
+    # each histogram and each distinct class sum has about 5·10⁵ bins
+    for p, G in ((999983, kept), (999979, lens(999979, 3))):
+        for k in (1, 2):
+            S = z_cs(G, k)
+            first[p, k] = S, repr(eval_numeric(S))
+            assert partition._CS_BINS[0] == held() <= _ENUMERATION_LIMIT
+    # a new class sum of a manifold whose record the table has dropped
+    # stays in that manifold's memo and is not counted
+    assert z_cs(kept, 999983) == PhaseSum([(0, 999983)])
+    assert partition._CS_BINS[0] == held()
+    again = lens(999983, 3)
+    assert _jordan_splitting(again) not in partition._CS_FORMS
+    for k in (1, 2):
+        S, value = first[999983, k]
+        T = z_cs(again, k)
+        assert T is not S and T == S and repr(eval_numeric(T)) == value
+        assert partition._CS_BINS[0] == held() <= _ENUMERATION_LIMIT
 
 
 def test_pipeline_keeps_no_reference_to_the_manifold():
@@ -630,9 +685,13 @@ def test_z_bf_builds_each_gcd_class_once_per_manifold(monkeypatch):
     assert len(calls) == 24
 
 
-def test_eval_numeric_identical_on_equal_sums_built_apart():
+def test_eval_numeric_identical_on_equal_sums_built_apart(monkeypatch):
+    def cs():
+        empty_cs_forms(monkeypatch)  # apart: each from an empty table
+        return z_cs(lens(23, 7), 3)
+
     # one sum on the fsum path, one on the exact gcd-class path
-    for make in (lambda: z_cs(lens(23, 7), 3), lambda: z_bf(lens(60, 7), 4)):
+    for make in (cs, lambda: z_bf(lens(60, 7), 4)):
         S = make()
         value = repr(eval_numeric(S))
         assert eval_numeric(S) is eval_numeric(S)
@@ -1005,13 +1064,15 @@ def test_z_cs_remaps_and_evaluates_once_per_level_class(monkeypatch):
 
     monkeypatch.setattr(PhaseSum, "_canonical", classmethod(counting_canonical))
     monkeypatch.setattr(partition, "_evaluate", counting_evaluate)
-    for H in (G, GluingData(G.R, G.P, G.S, G.Q)):
-        partition._cs_histogram(H)
+    empty_cs_forms(monkeypatch)
+    # an equal manifold shares the form's sums, so it remaps and evaluates nothing
+    for H, want in ((G, 36), (GluingData(G.R, G.P, G.S, G.Q), 0)):
+        partition._cs_form(H)
         remaps.clear()
         for k in range(1, 241):
             eval_numeric(z_cs(H, k))
-        assert len(remaps) == 36
-    assert len(evaluations) == 72
+        assert len(remaps) == want
+    assert len(evaluations) == 36
 
 
 rationals = st.builds(Fraction, st.integers(-90, 90), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 30]))
