@@ -7,7 +7,7 @@ The form's orthogonal splitting into p-primary Jordan blocks
 (_jordan_blocks) exists exactly when the form is nondegenerate.  It is
 run once per manifold and put in a normal form (_jordan_splitting), and
 that one splitting is both how is_nondegenerate decides and what
-partition builds and shares Z_CS from.
+partition scales by each level to build Z_CS.
 """
 
 from __future__ import annotations
@@ -126,32 +126,42 @@ def _jordan_splitting(G: GluingData) -> tuple:
     """_jordan_blocks of linking_matrix(G) in a normal form, once per manifold.
 
     A tuple of (p, r, rows as tuples), hashable, in the order
-    _jordan_blocks gives.  The unit u of a cyclic block ⟨u/r⟩ becomes 1
-    when (u | p) = 1 and the least non-residue mod p otherwise, for odd
-    p, and u mod min(8, r) for p = 2: each is u·s² for a unit s mod r,
-    the same block up to isomorphism (Wall, 1963).  2-adic planes stay as
-    split.  Equal splittings are therefore isomorphic forms, with equal
-    histograms of Γ(θ, θ), which partition shares between manifolds.  A
-    degenerate or refused form raises each time it is asked for, since
-    per_manifold keeps only values.
+    _jordan_blocks gives.  The unit u of a cyclic block ⟨u/r⟩ becomes
+    the normal unit of its square class (_class_unit): 1 or the least
+    non-residue mod p for odd p, u mod min(8, r) for p = 2.  Each is u·s² for a unit s mod r, the same
+    block up to isomorphism (Wall, 1963).  2-adic planes stay as split.
+    partition.z_cs scales these blocks by each level and keys its sums
+    on their square classes.  A degenerate or refused form raises each
+    time it is asked for, since per_manifold keeps only values.
     """
     lm = linking_matrix(G)
     out = []
     for p, r, rows in _jordan_blocks(lm.dims, lm.den, lm.num):
         if len(rows) == 1:
-            rows = [[_normal_unit(p, r, rows[0][0])]]
+            rows = [[_class_unit(p, r, _square_class(p, r, rows[0][0]))]]
         out.append((p, r, tuple(map(tuple, rows))))
     return tuple(out)
 
 
-def _normal_unit(p: int, r: int, u: int) -> int:
-    """The representative of u's square class mod r, r a power of p."""
-    if p == 2:
-        return u % min(8, r)
-    if pow(u, (p - 1) // 2, p) == 1:  # Euler's criterion
-        return 1
+def _square_class(p: int, r: int, u: int) -> int:
+    """The square class of the unit u mod r, r a power of p.
+
+    u mod min(8, r) for p = 2, and for odd p the Legendre symbol (u | p)
+    by Euler's criterion, as 1 or p − 1.  u and u·s² have one class for
+    every unit s, and units of one class give isomorphic blocks ⟨u/r⟩.
+    """
+    return u % min(8, r) if p == 2 else pow(u, (p - 1) // 2, p)
+
+
+def _class_unit(p: int, r: int, c: int) -> int:
+    """The normal unit of the square class c mod r (_square_class).
+
+    c itself for p = 2; for odd p, 1 or the least non-residue mod p.
+    """
+    if p == 2 or c == 1:
+        return c
     n = 2
-    while pow(n, (p - 1) // 2, p) == 1:
+    while _square_class(p, r, n) == 1:
         n += 1
     return n
 

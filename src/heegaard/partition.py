@@ -9,18 +9,16 @@ every Z_BF sum does, evaluates exactly to an integer by Ramanujan sums;
 any other sum adds its terms with math.fsum.  Either way equal sums give
 bit-identical floats whatever the order of their bins.
 
-Neither sum enumerates the torsion group.  Z_CS reads the manifold's one
-orthogonal splitting of the linking form into p-primary Jordan blocks,
-⟨u/pᶠ⟩ and, for p = 2, planes (Wall, 1963; linking._jordan_splitting,
-which is_nondegenerate reads too), in a normal form that fixes the form
-up to isomorphism.  The histogram of Γ(θ,θ) over T is then the PhaseSum
-product of the blocks' histograms, in integer arithmetic over the common
-denominator L of the linking gram.  A level k remaps its bins
-n ↦ −k·n mod L; since k and k·s² give one sum for every unit s mod L,
-that is done once for each class of levels.  Both are done once per
-normalized splitting, not per manifold: one module table (_CS_FORMS),
-bounded in bins, shares them between manifolds with isomorphic forms.
-By nondegeneracy of the linking form, the
+Neither sum enumerates the torsion group.  Z_CS at level k is the
+histogram of the form −k·Γ over T, read off the manifold's one
+orthogonal splitting of Γ into p-primary Jordan blocks, ⟨u/pᶠ⟩ and, for
+p = 2, planes (Wall, 1963; linking._jordan_splitting, which
+is_nondegenerate reads too).  Scaled by −k, the blocks split −k·Γ, and
+their square classes fix it up to isomorphism; the histogram is the
+PhaseSum product of the scaled blocks' histograms, in integer
+arithmetic.  One module table (_CS_SUMS), bounded in bins, keeps one
+sum per scaled splitting, so every level and every manifold with an
+isomorphic form share it.  By nondegeneracy of the linking form, the
 Z_BF multiset follows from the invariant factors alone; it is written
 over its reduced denominator by one slice per divisor, once per manifold
 for each class of levels with the same gcd(k, d_r), and carries its
@@ -38,7 +36,7 @@ from operator import index, mul
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile
-from .linking import _jordan_splitting, _primary_parts, is_nondegenerate
+from .linking import _class_unit, _jordan_splitting, _primary_parts, _square_class, is_nondegenerate
 from .splitting import _ENUMERATION_LIMIT, GluingData, _check_enumerable, per_manifold
 
 
@@ -257,18 +255,16 @@ def _block_histogram(p: int, r: int, rows) -> PhaseSum:
     unit b < k/2 gives its own bin, hit by 2·p^j of these a.  For p = 2
     the unit squares mod k are the 1 + 8t for k ≥ 8, each hit by 4·2^j,
     and just 1 for k ≤ 4, hit by (k/2)·2^j.  The a ≡ 0 mod p^{⌈f/2⌉}
-    give 0.  A 2-adic plane is enumerated.  Either way the block's r^n
-    classes are checked against _ENUMERATION_LIMIT first.
+    give 0.  A 2-adic plane is enumerated.  z_cs checks the r^n classes
+    against _ENUMERATION_LIMIT first.
     """
     if len(rows) == 2:
-        _check_enumerable("Jordan plane order", r * r)
         (s, t), (_, w) = rows
         counts = Counter()
         for a in range(r):
             base, lin = s * a * a, 2 * t * a
             counts.update([(base + lin * b + w * b * b) % r for b in range(r)])
         return PhaseSum._from_counts(r, counts)
-    _check_enumerable("Jordan block order", r)
     u = rows[0][0]  # a unit, so the bin of u·1² is too and r is already reduced
     counts = {}
     k, hits = r, 1  # hits = p^j
@@ -292,9 +288,9 @@ def _jordan_histogram(blocks) -> PhaseSum:
     blocks is a Jordan splitting [(p, r, rows)] (linking._jordan_blocks).
     Γ(θ,θ) of an orthogonal sum is the sum of the parts' values, so the
     histogram is the PhaseSum product of the histograms of the blocks.
-    The work is the classes of the largest block and the bin pairs of
-    each product, both at most |T|, and each is checked against
-    _ENUMERATION_LIMIT before it is spent.
+    The work is the classes of the largest block, which z_cs checks
+    against _ENUMERATION_LIMIT, and the bin pairs of each product, both
+    at most |T|; each product is checked here before it is spent.
     """
     hist = None
     for p, r, rows in blocks:
@@ -307,104 +303,68 @@ def _jordan_histogram(blocks) -> PhaseSum:
     return hist if hist is not None else PhaseSum._canonical(1, {0: 1})
 
 
-# normalized Jordan splitting -> (histogram, prime powers, sums by level class)
-_CS_FORMS = {}
-_CS_BINS = [0]  # bins held in _CS_FORMS, histograms and sums together
-
-
-def _hold(bins: int) -> bool:
-    """Count bins added to _CS_FORMS; if they would pass the limit, empty it and return False."""
-    if _CS_BINS[0] + bins > _ENUMERATION_LIMIT:
-        _CS_FORMS.clear()
-        _CS_BINS[0] = 0
-        return False
-    _CS_BINS[0] += bins
-    return True
-
-
-@per_manifold
-def _cs_form(G: GluingData) -> tuple:
-    """z_cs's source: the Γ(θ,θ) histogram, its prime powers and the sums by level class.
-
-    The histogram is over T, the prime powers those of its denominator.
-    Looked up in _CS_FORMS by the normalized Jordan splitting, which
-    fixes the form up to isomorphism and so the histogram, and built on a
-    miss.  The histogram's denominator divides the form's, so its primes
-    are among those of the blocks; each block prime's power is divided
-    out of it, with no second factoring.  A table emptied by _hold frees
-    only what no live manifold's memo still holds.
-    """
-    blocks = _jordan_splitting(G)
-    form = _CS_FORMS.get(blocks)
-    if form is None:
-        hist = _jordan_histogram(blocks)
-        L = hist._den
-        parts = []
-        for p, _, _ in blocks:  # p increasing; a repeated p no longer divides L
-            if L % p == 0:
-                q = 1
-                while L % p == 0:
-                    L, q = L // p, q * p
-                parts.append((p, q))
-        form = hist, parts, {}
-        if not _hold(len(hist)):
-            _CS_BINS[0] = len(hist)  # the emptied table holds this form alone
-        _CS_FORMS[blocks] = form
-    return form
+# z_cs's key, the splitting of −k·Γ by square classes, -> its PhaseSum
+_CS_SUMS = {}
+_CS_BINS = [0]  # bins held in _CS_SUMS
 
 
 def z_cs(G: GluingData, k: int) -> PhaseSum:
     """Exact CS partition sum: one term −k·Γ(θ,θ) per torsion class.
 
-    The histogram of Γ(θ,θ) over T is a product of Jordan blocks'
-    histograms with no loop over T (_jordan_histogram), built once per
-    normalized Jordan splitting and shared by every manifold with that
-    splitting (_cs_form); level k maps each numerator n over its
-    denominator L to −k·n mod L.  For a unit s mod L, θ ↦ sθ permutes
-    T and Γ(sθ, sθ) = s²·Γ(θ, θ), so the levels k and k·s² give one sum.
-    Their class is read at each pᵉ ‖ L: v = min(v_p(k), e) and, if v < e,
-    the square class of the unit u = k/pᵛ mod p^{e−v}, which is the
-    Legendre symbol (u | p) for odd p and u mod min(8, 2^{e−v}) for p = 2.
-    The sum of a class is remapped once, at the first of its levels asked
-    for, and kept with the histogram; every level of the class, on every
-    manifold sharing the splitting, returns that same object, so
-    eval_numeric runs once per class too.  The table holding them keeps
-    at most _ENUMERATION_LIMIT bins and is emptied when an insert would
-    pass that; G keeps its own record in its memo.  The
-    identity class contributes phase 0, so the sphere normalizes to
-    {0: 1}.  A Jordan block or a product of block histograms past
-    _ENUMERATION_LIMIT raises ValueError.
+    The sum is the histogram of the form −k·Γ over T, read off G's one
+    Jordan splitting (linking._jordan_splitting) with no loop over T.
+    For a block ⟨u/pᶠ⟩, or a plane, of rank n write −k = pʲ·m with
+    p ∤ m and j ≤ f.  On it −k·Γ takes each value of ⟨m·u/q⟩ (of the
+    plane m·rows/q), q = p^{f−j}, on p^{j·n} classes; a block with
+    q = 1 is 0 on all of its classes.  Units u and u·s² give isomorphic
+    blocks, so ⟨m·u/q⟩ is fixed by q and the square class of m·u
+    (linking._square_class), and the plane m·rows/q is isomorphic to
+    rows/q, since m² ≡ 1 mod 8 keeps the class of its determinant
+    (Wall, 1963).  The key of one module table (_CS_SUMS) lists, per
+    block, pᶠ, q and that class (a plane's rows, n if q = 1), so it also
+    fixes the multiplicity Π p^{j·n}.  On a miss the sum is the product
+    of the scaled blocks' histograms (_jordan_histogram), each bin times
+    the multiplicity.  So k and k·s² for a unit s, and every manifold
+    with an isomorphic form and the same block orders, get one PhaseSum
+    object, which eval_numeric evaluates once.  The table holds no
+    reference to any manifold and at most _ENUMERATION_LIMIT bins: an
+    insert that would pass that empties it first.  The identity class
+    contributes phase 0, so the sphere normalizes to {0: 1}.  A Jordan
+    block of G past _ENUMERATION_LIMIT classes, at every level, or a
+    product of scaled blocks' histograms past it raises ValueError; a
+    hit has the block orders of the miss that passed those checks.
     """
     _check_level(k)
-    form = _cs_form(G)
-    hist, parts, sums = form
-    key = []
-    for p, q in parts:
-        u, pv = k, 1
-        while pv < q and u % p == 0:
-            u, pv = u // p, pv * p
-        if pv == q:
-            key.append(q)
-        elif p == 2:
-            key.append((pv, u % min(8, q // pv)))
-        else:  # Euler's criterion: u^((p−1)/2) mod p is the Legendre symbol
-            key.append((pv, pow(u, (p - 1) // 2, p)))
-    key = tuple(key)
-    S = sums.get(key)
-    if S is None:
-        L = hist._den
-        mk = -k % L
-        if gcd(k, L) == 1:
-            S = PhaseSum._canonical(L, {n * mk % L: c for n, c in hist._counts.items()})
+    blocks = _jordan_splitting(G)
+    key = ()
+    for p, r, rows in blocks:
+        q, m = r, -k
+        while m % p == 0 and q > 1:
+            q //= p
+            m //= p
+        if q == 1:  # the block adds only to the multiplicity
+            key += r, 1, len(rows)
+        elif len(rows) == 1:
+            key += r, q, _square_class(p, q, m * rows[0][0])
         else:
-            counts = {}
-            for n, c in hist._counts.items():
-                n = n * mk % L
-                counts[n] = counts.get(n, 0) + c
-            S = PhaseSum._from_counts(L, counts)
-        if _CS_FORMS.get(_jordan_splitting(G)) is form:  # else an emptying dropped it
-            _hold(len(S))
-        sums[key] = S
+            key += r, q, rows
+    S = _CS_SUMS.get(key)
+    if S is None:
+        mult, scaled = 1, []
+        for (p, r, rows), q, c in zip(blocks, key[1::3], key[2::3]):
+            n = len(rows)
+            _check_enumerable("Jordan block order" if n == 1 else "Jordan plane order", r**n)
+            mult *= (r // q) ** n
+            if q > 1:
+                scaled.append((p, q, rows if n == 2 else ((_class_unit(p, q, c),),)))
+        S = _jordan_histogram(scaled)
+        if mult > 1:
+            S = PhaseSum._canonical(S._den, {x: c * mult for x, c in S._counts.items()})
+        if _CS_BINS[0] + len(S) > _ENUMERATION_LIMIT:
+            _CS_SUMS.clear()
+            _CS_BINS[0] = 0
+        _CS_BINS[0] += len(S)
+        _CS_SUMS[key] = S
     return S
 
 

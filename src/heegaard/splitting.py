@@ -173,14 +173,15 @@ class GluingData(Frozen, compared=("genus", "R.entries", "P.entries", "S.entries
 def per_manifold(fn):
     """Compute fn(G, *args) once per GluingData instance and keep it on G.
 
-    The value is stored in G._memo under (fn, *args), so a function of
-    the manifold alone keeps one value and a function of, say, a level
-    keeps one per distinct argument tuple; the arguments must be hashable
-    and should hold no reference to G.  Everything kept is freed with G.
+    The value is stored in G._memo under (fn, *args), or under fn alone
+    for a function of the manifold alone, which keeps one value; a
+    function of, say, a level keeps one per distinct argument tuple.  The
+    arguments must be hashable and should hold no reference to G.
+    Everything kept is freed with G.
     """
     @wraps(fn)
     def memoized(G: GluingData, *args):
-        key = (fn, *args)
+        key = (fn, *args) if args else fn  # a lookup of fn alone builds no tuple
         value = G._memo.get(key, memoized)  # memoized itself marks a miss
         if value is memoized:
             value = G._memo[key] = fn(G, *args)

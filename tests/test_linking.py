@@ -1,11 +1,12 @@
 import time
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heegaard import linking, partition
+from heegaard import cli, linking, partition
 from heegaard.exact import PhaseQ
 from heegaard.homology import free_flat_basis, homology_profile, torsion_elements
 from heegaard.linking import is_nondegenerate, linking_form, linking_matrix
@@ -144,20 +145,23 @@ def test_nondegenerate_on_lens_spaces_and_corpus(corpus):
 
 
 def test_one_splitting_and_one_factoring_per_manifold(monkeypatch, corpus):
-    splits, factorings = [], []
-    blocks, parts = linking._jordan_blocks, linking._primary_parts
+    splits, factorings, bf_factorings = [], [], []
+    blocks = linking._jordan_blocks
 
     def counting_blocks(*args):
         splits.append(args)
         return blocks(*args)
 
-    def counting_parts(n):
-        factorings.append(n)
-        return parts(n)
+    def counting_parts(calls, parts):
+        def counted(n):
+            calls.append(n)
+            return parts(n)
+        return counted
 
     monkeypatch.setattr(linking, "_jordan_blocks", counting_blocks)
-    monkeypatch.setattr(linking, "_primary_parts", counting_parts)
-    monkeypatch.setattr(partition, "_primary_parts", counting_parts)
+    monkeypatch.setattr(linking, "_primary_parts", counting_parts(factorings, linking._primary_parts))
+    # z_bf factors d_r / gcd(k, d_r) for its own divisors, counted apart
+    monkeypatch.setattr(partition, "_primary_parts", counting_parts(bf_factorings, partition._primary_parts))
     for G in [connected_sum(lens(45, 7), lens(60, 11)), *corpus]:
         G = GluingData(G.R, G.P, G.S, G.Q)  # a fresh memo
         splits.clear()
@@ -166,7 +170,15 @@ def test_one_splitting_and_one_factoring_per_manifold(monkeypatch, corpus):
         for k in range(1, 13):
             z_cs(G, k)
         assert is_nondegenerate(G)
-        assert (len(splits), len(factorings)) == (1, 1)
+        assert (len(splits), len(factorings), bf_factorings) == (1, 1, [])
+    # every check of `heegaard oracle` at four levels: still one splitting and
+    # one factoring of d_r = 180, besides z_bf's one per gcd class
+    G = connected_sum(lens(45, 7), lens(60, 11))
+    splits.clear()
+    factorings.clear()
+    for k in (1, 2, 3, 6):
+        assert cli._oracle(G, SimpleNamespace(level=k))["all_agree"]
+    assert (len(splits), factorings, bf_factorings) == (1, [180], [180, 90, 60, 30])
 
 
 def test_nondegenerate_enumerates_nothing():

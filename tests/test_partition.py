@@ -316,9 +316,9 @@ def test_z_cs_term_values_match_literal_loop():
     assert fresh(G, k, z_cs) == expected
 
 
-def empty_cs_forms(monkeypatch):
+def empty_cs_sums(monkeypatch):
     """Give z_cs an empty shared table, with its bin count, for one test."""
-    monkeypatch.setattr(partition, "_CS_FORMS", {})
+    monkeypatch.setattr(partition, "_CS_SUMS", {})
     monkeypatch.setattr(partition, "_CS_BINS", [0])
 
 
@@ -331,63 +331,81 @@ def test_z_cs_enumerates_once_per_manifold(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(partition, "_jordan_histogram", counting)
-    empty_cs_forms(monkeypatch)
+    empty_cs_sums(monkeypatch)
     G = lens(7, 3)
     for k in range(1, 7):
         z_cs(G, k)
-    assert len(calls) == 1
+    # one build per level class: −3k is a square mod 7 or it is not
+    assert len(calls) == 2
     # an equal manifold, and L(7, 5) with an isomorphic form (3 and 5 are
     # both non-residues mod 7), build nothing and return the same sums
     for again in (GluingData(G.R, G.P, G.S, G.Q), lens(7, 5)):
         for k in range(1, 7):
             assert z_cs(again, k) is z_cs(G, k)
-    assert len(calls) == 1
-    assert z_cs(lens(7, 1), 1) != z_cs(G, 1)
     assert len(calls) == 2
+    # L(7, 1) at k = 1 is the form −1/7, as L(7, 3) at k = 3 is −9/7 ≡ 5/7
+    assert z_cs(lens(7, 1), 1) != z_cs(G, 1)
+    assert z_cs(lens(7, 1), 1) is z_cs(G, 3)
+    assert len(calls) == 2
+    # at k = 7 the one block drops out and only its multiplicity is left
+    assert z_cs(G, 7) == PhaseSum({PhaseQ(0): 7})
+    assert len(calls) == 3
+
+
+def symmetric_p(A):
+    """The splitting with R = −1, P = A symmetric, S = 0 and Q = 1: Γ = ±A⁻¹ on coker A."""
+    return GluingData([[-int(i == j) for j in range(len(A))] for i in range(len(A))], A,
+                      [[0] * len(A)] * len(A), [[int(i == j) for j in range(len(A))] for i in range(len(A))])
 
 
 def test_equal_splittings_have_equal_histograms(monkeypatch, corpus):
     members = [lens(p, q) for p in range(2, 61) for q in range(-p + 1, p) if gcd(p, q) == 1]
     members += [G for G in corpus if 1 < homology_profile(G).torsion_order <= 600]
-    groups = {}
+    # 2-adic planes: 2ᵉ·[[0, 1], [1, 0]] and 2ᵉ·[[2, 1], [1, 2]], the second beside ℤ/3
+    members += [symmetric_p([[2**e * x for x in row] for row in M])
+                for e in (1, 2, 3) for M in ([[0, 1], [1, 0]], [[2, 1], [1, 2]])]
+    assert sum(len(rows) == 2 for G in members for _, _, rows in _jordan_splitting(G)) == 6
+    empty_cs_sums(monkeypatch)
+    calls = []
     for G in members:
         lm = linking_matrix(G)
         counts = diag_quad_counts(lm.dims, lm.num, lm.den)
-        hist = {Fraction(n, lm.den): c for n, c in counts.items()}  # over reduced denominators
-        groups.setdefault(_jordan_splitting(G), []).append((G, hist))
-    assert len(groups) < len(members) // 5
-    for (G, hist), *rest in groups.values():
-        assert all(other == hist for _, other in rest)
-        empty_cs_forms(monkeypatch)
-        for k in range(1, 7):
-            assert z_cs(G, k) == PhaseSum([(-k * x, c) for x, c in hist.items()])
+        for k in range(1, 7):  # the histogram of −k·Γ, enumerated
+            calls.append((z_cs(G, k), PhaseSum([(Fraction(-k * n, lm.den), c) for n, c in counts.items()])))
+    # group the (G, k) by the key of the table entry z_cs returned; the
+    # table was never emptied, so every returned sum is still in it
+    key_of = {id(S): key for key, S in partition._CS_SUMS.items()}
+    groups = {}
+    for S, want in calls:
+        groups.setdefault(key_of[id(S)], set()).add(want)
+    assert len(groups) < len(calls) // 20
+    for key, hists in groups.items():
+        assert hists == {partition._CS_SUMS[key]}
 
 
 def test_shared_forms_hold_at_most_the_enumeration_limit(monkeypatch):
-    empty_cs_forms(monkeypatch)
+    empty_cs_sums(monkeypatch)
 
     def held():
-        forms = partition._CS_FORMS.values()
-        return sum(len(hist) + sum(map(len, sums.values())) for hist, _, sums in forms)
+        return sum(map(len, partition._CS_SUMS.values()))
 
-    first, kept = {}, lens(999983, 3)
-    # each histogram and each distinct class sum has about 5·10⁵ bins
-    for p, G in ((999983, kept), (999979, lens(999979, 3))):
-        for k in (1, 2):
+    first = {}
+    # at k = 1 and at a non-residue k the two sums of L(p, 3) differ, each
+    # with about 5·10⁵ bins
+    for p in (999983, 999979):
+        G = lens(p, 3)
+        for k in (1, next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)):
             S = z_cs(G, k)
             first[p, k] = S, repr(eval_numeric(S))
             assert partition._CS_BINS[0] == held() <= _ENUMERATION_LIMIT
-    # a new class sum of a manifold whose record the table has dropped
-    # stays in that manifold's memo and is not counted
-    assert z_cs(kept, 999983) == PhaseSum([(0, 999983)])
-    assert partition._CS_BINS[0] == held()
+    assert z_cs(G, p) == PhaseSum([(0, p)])
+    assert partition._CS_BINS[0] == held() <= _ENUMERATION_LIMIT
     again = lens(999983, 3)
-    assert _jordan_splitting(again) not in partition._CS_FORMS
-    for k in (1, 2):
-        S, value = first[999983, k]
-        T = z_cs(again, k)
-        assert T is not S and T == S and repr(eval_numeric(T)) == value
-        assert partition._CS_BINS[0] == held() <= _ENUMERATION_LIMIT
+    for (p, k), (S, value) in first.items():
+        if p == 999983:
+            T = z_cs(again, k)
+            assert T is not S and T == S and repr(eval_numeric(T)) == value
+            assert partition._CS_BINS[0] == held() <= _ENUMERATION_LIMIT
 
 
 def test_pipeline_keeps_no_reference_to_the_manifold():
@@ -413,12 +431,32 @@ def test_enumeration_limit_raises_instead_of_allocating():
         with pytest.raises(ValueError, match=re.escape(f"{size} exceeds the enumeration limit {limit}")):
             fn(G, 1)
         assert time.perf_counter() - t0 < 0.1
+    # a level that scales the block ℤ/5⁹ down, or drops it, refuses it alike
+    for k in (5**9, 10**9):
+        with pytest.raises(ValueError, match=re.escape(f"Jordan block order = 1953125 exceeds the enumeration limit {limit}")):
+            z_cs(G, k)
     # past the limit only the paths that enumerate refuse
     cube = connected_sum(connected_sum(lens(1000, 3), lens(1000, 7)), lens(1000, 11))
     assert is_nondegenerate(cube)
     S = z_bf(cube, 1)
     assert S.total_terms == 10**18 and len(S) == 1000
     assert z_cs(cube, 1).total_terms == 10**9
+
+
+def test_z_cs_refuses_block_products_by_their_scaled_blocks():
+    # ℤ/(251·241·239): at k = 1 the three block histograms have 126, 121 and
+    # 120 bins, and the last product has 15,246 × 120 bin pairs
+    p, q, r = 251, 241, 239
+    G = lens(p * q * r, 1)
+    with pytest.raises(ValueError, match=re.escape(f"block product bin pairs = 1829520 exceeds the enumeration limit {_ENUMERATION_LIMIT}")):
+        z_cs(G, 1)
+    # at k = r the block ℤ/r drops out: −r·Γ is r copies of a form on ℤ/(p·q)
+    lm = linking_matrix(G)
+    counts = diag_quad_counts((p * q,), [[-lm.num[0][0] % (p * q)]], p * q)
+    S = z_cs(G, r)
+    assert S == PhaseSum({Fraction(n, p * q): r * c for n, c in counts.items()})
+    assert (len(S), S.total_terms) == (15246, p * q * r)
+    assert z_cs(G, p * q * r) == PhaseSum({PhaseQ(0): p * q * r})
 
 
 def test_z_cs_refuses_a_denominator_with_only_large_primes():
@@ -597,6 +635,31 @@ def test_z_cs_past_the_old_enumeration_ceiling(n, units):
     assert time.perf_counter() - t0 < 1.0
 
 
+def level_law_members(corpus):
+    lenses = [lens(p, q) for p in range(1, 61) for q in range(-p + 1, p) if gcd(p, q) == 1]
+    drawn = [random_splitting(1 + i % 3, i, 8 + i % 40) for i in range(120)]
+    return lenses + [G for G in corpus + drawn if homology_profile(G).torsion_order <= 20000]
+
+
+def test_cs_modulus_squared_is_zero_or_the_bf_closed_form(corpus):
+    """|Z_CS(k)|² ∈ {0, |T|·|T[2k]|}, the abelian TV = |RT|².
+
+    Put θ = ϑ + x in |Z|² = Σ_{θ,ϑ} e(−kΓ(θ,θ) + kΓ(ϑ,ϑ)): the sum over ϑ
+    of e(−2kΓ(ϑ,x)) is |T| when 2kx = 0 and 0 otherwise, by nondegeneracy,
+    and on the 2k-torsion x ↦ kΓ(x,x) is a character, since 2kΓ(x,y) = 0,
+    so its sum is |T[2k]| or 0.  z_bf_closed_form(G, 2k) is |T|·|T[2k]|.
+    """
+    zeros = total = 0
+    for G in level_law_members(corpus):
+        for k in (1, 2, 3, 4, 6):
+            bf = z_bf_closed_form(G, 2 * k)
+            z2 = abs(eval_numeric(z_cs(G, k))) ** 2
+            assert min(z2, abs(z2 - bf)) <= 1e-9 * bf
+            zeros += z2 < bf / 2
+            total += 1
+    assert total > 10000 and 500 < zeros < total // 4
+
+
 # -------------------------------------------------------------------- z_bf
 
 
@@ -687,7 +750,7 @@ def test_z_bf_builds_each_gcd_class_once_per_manifold(monkeypatch):
 
 def test_eval_numeric_identical_on_equal_sums_built_apart(monkeypatch):
     def cs():
-        empty_cs_forms(monkeypatch)  # apart: each from an empty table
+        empty_cs_sums(monkeypatch)  # apart: each from an empty table
         return z_cs(lens(23, 7), 3)
 
     # one sum on the fsum path, one on the exact gcd-class path
@@ -1051,28 +1114,28 @@ def test_z_cs_level_classes_of_lens_spaces(p, classes):
 
 def test_z_cs_remaps_and_evaluates_once_per_level_class(monkeypatch):
     G = lens(60, 7)
-    remaps, evaluations = [], []
-    canonical, evaluate = PhaseSum._canonical.__func__, partition._evaluate
+    builds, evaluations = [], []
+    build, evaluate = partition._jordan_histogram, partition._evaluate
 
-    def counting_canonical(cls, *args):
-        remaps.append(args)
-        return canonical(cls, *args)
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
 
     def counting_evaluate(*args):
         evaluations.append(args)
         return evaluate(*args)
 
-    monkeypatch.setattr(PhaseSum, "_canonical", classmethod(counting_canonical))
+    monkeypatch.setattr(partition, "_jordan_histogram", counting_build)
     monkeypatch.setattr(partition, "_evaluate", counting_evaluate)
-    empty_cs_forms(monkeypatch)
-    # an equal manifold shares the form's sums, so it remaps and evaluates nothing
+    empty_cs_sums(monkeypatch)
+    # one build and one evaluation per level class; an equal manifold shares
+    # the sums, so it builds and evaluates nothing
     for H, want in ((G, 36), (GluingData(G.R, G.P, G.S, G.Q), 0)):
-        partition._cs_form(H)
-        remaps.clear()
+        builds.clear()
+        evaluations.clear()
         for k in range(1, 241):
             eval_numeric(z_cs(H, k))
-        assert len(remaps) == want
-    assert len(evaluations) == 36
+        assert (len(builds), len(evaluations)) == (want, want)
 
 
 rationals = st.builds(Fraction, st.integers(-90, 90), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 30]))
