@@ -27,7 +27,7 @@ def vec_dot(u: Sequence, v: Sequence):
     """Exact dot product <u, v> of equal-length numeric vectors."""
     if len(u) != len(v):
         raise ValueError(f"dot product length mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class Frozen:
@@ -187,10 +187,8 @@ class IntMatrix(Frozen):
         """Matrix-vector product; vec entries may be int or Fraction."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
-        return tuple(
-            sum(self.entries[i * self.cols + j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        n, e = self.cols, self.entries
+        return tuple(sum(map(mul, e[i * n : i * n + n], vec)) for i in range(self.rows))
 
     @property
     def shape(self) -> tuple:
@@ -303,6 +301,23 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         D and a unimodular V^-1 such that A = U @ D @ V for some unimodular
         U, with the diagonal of D the canonical invariant-factor chain.
 
+    D comes from _smith_eliminate and V^-1 from replaying its column
+    operations exactly.  Nearest-integer quotients slow the growth of
+    V^-1, but nothing reduces it, so its entries still grow with A: tens
+    of thousands of bits at genus 40, where homology_profile replays the
+    same operations modulo d_r instead.
+    """
+    m, n = A.rows, A.cols
+    work, log = _smith_eliminate(A)
+    return SmithDecomposition(
+        IntMatrix._of(m, n, tuple(e for row in work for e in row)),
+        IntMatrix._of(n, n, tuple(e for row in _replay_columns(log, n) for e in row)),
+    )
+
+
+def _smith_eliminate(A: IntMatrix) -> tuple:
+    """Rows of the Smith form D of A, and the column operations that made it.
+
     Stage t moves to (t, t) the smallest nonzero entry of row t and
     column t (of the whole trailing block only when both are zero), then
     reduces the rest of that row and column by the nearest-integer
@@ -311,56 +326,82 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     multiple of the pivot, its row is added to row t and the stage goes on.
     Either way the next pivot is a nonzero remainder, so |pivot| at least
     halves on every repeat and stage t ends after at most log2|pivot| + 2
-    passes.  Nearest-integer quotients slow the growth of V^-1, which
-    floor quotients let run away; nothing reduces the finished V^-1, so its
-    entries still grow with the size of A.
+    passes.  Row operations are not kept.  The log lists the column
+    operations in order, (t, j) for a swap of columns t and j and
+    (j, t, c) for col j += c * col t, so that D = U^-1 @ A @ V^-1 with
+    V^-1 the log applied to the identity (_replay_columns).
     """
     m, n = A.rows, A.cols
     work = [list(A.row(i)) for i in range(m)]
-    # work == U^-1 @ A @ V^-1 throughout; vit holds the columns of V^-1, so
-    # that its column updates are row updates
-    vit = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def axpy(rows, i, j, c):  # rows[i] += c * rows[j]
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-
-    def col_add(i, j, c):  # work col i += c * col j, and so V^-1 col i
-        for row in work:
-            row[i] += c * row[j]
-        axpy(vit, i, j, c)
-
+    log = []
     for t in range(min(m, n)):
         while True:
             nz = [(i, t) for i in range(t, m) if work[i][t]]
             nz += [(t, j) for j in range(t + 1, n) if work[t][j]]
-            nz = nz or [(i, j) for i in range(t, m) for j in range(t, n) if work[i][j]]
             if not nz:
-                break
-            i, j = min(nz, key=lambda ij: abs(work[ij[0]][ij[1]]))
-            work[t], work[i] = work[i], work[t]
-            for row in work:
-                row[t], row[j] = row[j], row[t]
-            vit[t], vit[j] = vit[j], vit[t]
-            p = work[t][t]
+                nz = [(i, j) for i in range(t, m) for j in range(t, n) if work[i][j]]
+                if not nz:
+                    break
+            i, j = min(nz, key=lambda ij: abs(work[ij[0]][ij[1]])) if len(nz) > 1 else nz[0]
+            if i != t:
+                work[t], work[i] = work[i], work[t]
+            # rows above t are zero from column t on, so column operations skip them
+            if j != t:
+                for row in work[t:]:
+                    row[t], row[j] = row[j], row[t]
+                log.append((t, j))
+            top = work[t]
+            p = top[t]
+            clear = True
             for i in range(t + 1, m):
-                if work[i][t]:
-                    axpy(work, i, t, -((2 * work[i][t] + p) // (2 * p)))
+                row = work[i]
+                if row[t]:
+                    c = -((2 * row[t] + p) // (2 * p))
+                    work[i] = row = [a + c * b for a, b in zip(row, top)]
+                    clear = clear and not row[t]
             for j in range(t + 1, n):
-                if work[t][j]:
-                    col_add(j, t, -((2 * work[t][j] + p) // (2 * p)))
-            if any(work[i][t] for i in range(t + 1, m)) or any(work[t][t + 1 :]):
+                if top[j]:
+                    c = -((2 * top[j] + p) // (2 * p))
+                    for row in work[t:]:
+                        row[j] += c * row[t]
+                    log.append((j, t, c))
+                    clear = clear and not top[j]
+            if not clear:
                 continue
-            bad = next((i for i in range(t + 1, m) if any(e % p for e in work[i][t + 1 :])), None)
-            if bad is None:
+            for i in range(t + 1, m):
+                if any(e % p for e in work[i][t + 1 :]):
+                    work[t] = [a + b for a, b in zip(top, work[i])]
+                    break
+            else:
                 break
-            axpy(work, t, bad, 1)
         if work[t][t] < 0:
             work[t] = [-e for e in work[t]]
+    return work, log
 
-    return SmithDecomposition(
-        IntMatrix._of(m, n, tuple(e for row in work for e in row)),
-        IntMatrix._of(n, n, tuple(e for col in zip(*vit) for e in col)),
-    )
+
+def _replay_columns(log: list, n: int, first: int = 0, modulus: int = 0) -> list:
+    """Rows of the n x n V^-1 of log, restricted to its columns first..n-1.
+
+    V^-1 = E_1 @ ... @ E_K for the column operations E_k of the log, so
+    those columns are E_1 @ ... @ E_K applied to the same columns of the
+    identity: the log is replayed backwards as row operations (a swap of
+    columns t and j swaps rows t and j; col j += c * col t becomes
+    row t += c * row j) on n rows that are only n - first wide.  With a
+    modulus every entry is reduced mod it, which gives V^-1 mod modulus,
+    since an integer row operation commutes with the reduction.
+    """
+    rows = [[int(i == j) for j in range(first, n)] for i in range(n)]
+    for op in reversed(log):
+        if len(op) == 2:
+            t, j = op
+            rows[t], rows[j] = rows[j], rows[t]
+        elif modulus:
+            j, t, c = op
+            rows[t] = [(a + c * b) % modulus for a, b in zip(rows[t], rows[j])]
+        else:
+            j, t, c = op
+            rows[t] = [a + c * b for a, b in zip(rows[t], rows[j])]
+    return rows
 
 
 def determinant(A: IntMatrix) -> int:

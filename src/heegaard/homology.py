@@ -1,10 +1,11 @@
 """First homology of the glued manifold as the cokernel of the P block.
 
 The Smith form P = U D V turns coker P into Z^{b1} + sum of Z_{d_i}.
-homology_profile is the one reader of that form: it keeps the invariant
-factors, the torsion columns of V^-1 reduced mod d_i (canonical rational
-representatives theta = c_i / d_i with P theta integral) and the kernel
-columns of V^-1, a saturated integer basis of ker P.
+homology_profile runs the one Smith elimination of P in the pipeline and
+keeps the invariant factors, the torsion columns of V^-1 reduced mod d_i
+(canonical rational representatives theta = c_i / d_i with P theta
+integral) and the kernel columns of V^-1, a saturated integer basis of
+ker P; it builds no SmithDecomposition.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, prod
 
-from .exact import Frozen, smith_normal_form, vec_dot
+from .exact import Frozen, _replay_columns, _smith_eliminate, vec_dot
 from .splitting import GluingData, per_manifold
 
 
@@ -33,7 +34,12 @@ class HomologyProfile(Frozen, compared=("b1", "invariant_factors")):
 
     def __init__(self, b1: int, invariant_factors: tuple, torsion_columns: tuple, kernel_columns: tuple):
         factors = tuple(invariant_factors)
-        self._init(b1, factors, prod(factors, start=1), tuple(torsion_columns), tuple(kernel_columns))
+        set_ = object.__setattr__  # one per manifold, on the hot path
+        set_(self, "b1", b1)
+        set_(self, "invariant_factors", factors)
+        set_(self, "torsion_order", prod(factors))
+        set_(self, "torsion_columns", tuple(torsion_columns))
+        set_(self, "kernel_columns", tuple(kernel_columns))
 
     def kernel_count(self, k: int) -> int:
         """|{theta in T : k.theta = 0}| = prod of gcd(k, d_i), the k-torsion count."""
@@ -75,19 +81,28 @@ class TorsionRep(Frozen):
 def homology_profile(G: GluingData) -> HomologyProfile:
     """H1 of the glued manifold: b1 plus the invariant factors of coker P.
 
-    Factors equal to 1 are dropped; b1 counts the zero diagonal entries of
-    the Smith form of P.  Only the torsion and kernel columns of V^-1 are
-    kept; the Smith form itself is dropped here.
+    One Smith elimination of P gives the diagonal; factors equal to 1 are
+    dropped and b1 counts its zeros.  Its column operations are replayed
+    on the kept columns of V^-1 alone (_replay_columns): modulo d_r when
+    b1 = 0, since every d_i divides d_r, and not at all when d_r = 1;
+    exactly when b1 > 0, whose kernel columns need integers.  At b1 = 0 no
+    entry grows past d_r, while the exact V^-1 of smith_normal_form
+    reaches tens of thousands of bits at genus 40.
     """
-    snf = smith_normal_form(G.P)
-    diag, vinv, rank = snf.diagonal, snf.v_inverse, snf.rank
-    factors = tuple(d for d in diag if d >= 2)
+    g = G.genus
+    work, log = _smith_eliminate(G.P)
+    diag = [row[i] for i, row in enumerate(work)]
+    rank = g - diag.count(0)
+    factors = tuple([d for d in diag if d > 1])
+    if rank == g and not factors:
+        return HomologyProfile(0, (), (), ())
     first = rank - len(factors)
+    cols = list(zip(*_replay_columns(log, g, first, factors[-1] if rank == g else 0)))
     return HomologyProfile(
-        len(diag) - rank,
+        g - rank,
         factors,
-        (tuple(x % d for x in vinv.col(first + i)) for i, d in enumerate(factors)),
-        (vinv.col(j) for j in range(rank, G.genus)),
+        [tuple([x % d for x in c]) for c, d in zip(cols, factors)],
+        cols[len(factors) :],
     )
 
 

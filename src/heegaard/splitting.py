@@ -276,7 +276,7 @@ def lens(p: int, q: int) -> GluingData:
         raise ValidationError(
             [f"P†S − Q†R = {det} ≠ 1", f"SP† − QR† = {det} ≠ 1"]
         )
-    return GluingData._trusted(*(IntMatrix(1, 1, (x,)) for x in (r, p, s, q)))
+    return GluingData._trusted(*(IntMatrix._of(1, 1, (x,)) for x in (r, p, s, q)))
 
 
 def connected_sum(g1: GluingData, g2: GluingData) -> GluingData:

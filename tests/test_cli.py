@@ -205,6 +205,20 @@ def test_validate_at_genus_120_within_two_seconds(capture, tmp_path):
     assert json.loads(out)["results"] == {"determinant": 1, "genus": 120}
 
 
+def test_homology_at_genus_60_within_three_seconds(capture, tmp_path):
+    """V⁻¹ is replayed mod d_r, not carried exactly at ~80k bits."""
+    path = tmp_path / "g60.json"
+    path.write_text(serialize_manifold(random_splitting(60, 1, 2000)))
+    t0 = time.perf_counter()
+    code, out, err = capture("homology", str(path))
+    assert time.perf_counter() - t0 < 3.0
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["b1"] == 0 and len(results["invariant_factors"]) == 2
+    assert results["invariant_factors"][0] == 2
+    assert results["torsion_order"] == 2 * results["invariant_factors"][1]
+
+
 def test_validate_bad_relations_exit_2(capture, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"genus":1,"R":[[1]],"P":[[0]],"S":[[0]],"Q":[[1]]}')

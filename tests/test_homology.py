@@ -225,10 +225,11 @@ def test_curvature_lattice_reuses_the_smith_form_of_P(corpus, monkeypatch):
         homology_profile(G)
 
     def refuse(A):
-        raise AssertionError("a second Smith form")
+        raise AssertionError("a second Smith elimination")
 
     monkeypatch.setattr(heegaard.exact, "smith_normal_form", refuse)
-    monkeypatch.setattr(heegaard.homology, "smith_normal_form", refuse)
+    monkeypatch.setattr(heegaard.exact, "_smith_eliminate", refuse)
+    monkeypatch.setattr(heegaard.homology, "_smith_eliminate", refuse)
     for G in cases:
         for m in curvature_lattice_basis(G):
             assert G.P.transpose().apply(m) == (0,) * G.genus
@@ -241,3 +242,31 @@ def test_lens_kernel_count_closed_form(p, q, k):
     G = lens(p, q)
     assert torsion_elements(G).dims == (p,)
     assert homology_profile(G).kernel_count(k) == gcd(k, p)
+
+
+def assert_columns_are_the_smith_columns(G):
+    """The profile's columns equal V⁻¹ of smith_normal_form: mod dᵢ, or exact past the rank."""
+    profile = homology_profile(G)
+    snf = smith_normal_form(G.P)
+    vinv, rank = snf.v_inverse, snf.rank
+    first = rank - len(profile.invariant_factors)
+    assert profile.b1 == G.genus - rank
+    assert profile.torsion_columns == tuple(
+        tuple(x % d for x in vinv.col(first + i)) for i, d in enumerate(profile.invariant_factors)
+    )
+    assert profile.kernel_columns == tuple(vinv.col(j) for j in range(rank, G.genus))
+    return profile.b1
+
+
+def test_profile_columns_are_the_smith_columns(corpus):
+    randoms = [random_splitting(4 + i % 3, i, (12, 30)[i % 2]) for i in range(12)]
+    cases = [*curvature_cases(corpus), *randoms, *(connected_sum(G, lens(0, 1)) for G in randoms)]
+    assert {0, 1, 2} <= {assert_columns_are_the_smith_columns(G) for G in cases}
+
+
+@given(st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 40), st.integers(0, 2))
+def test_profile_columns_are_the_smith_columns_law(genus, seed, length, handles):
+    G = random_splitting(genus, seed, length)
+    for _ in range(handles):
+        G = connected_sum(G, lens(0, 1))
+    assert assert_columns_are_the_smith_columns(G) >= handles
