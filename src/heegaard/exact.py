@@ -33,14 +33,16 @@ def vec_dot(u: Sequence, v: Sequence):
 class Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in __slots__ and writes each once, with
-    _init or, on the hot constructors, object.__setattr__ directly;
-    assignment and del then raise AttributeError.  Equality and hash read
-    the compared fields through one operator.attrgetter per class, _key:
-    every slot, unless the class statement names fewer with compared=
-    (dotted paths allowed).  Values of different types never compare
-    equal.  Pickling and copying rebuild an instance from all of its slots
-    without running __init__.
+    A subclass names its fields in __slots__ and writes them only through
+    _setters, the slots' member-descriptor setters in __slots__ order,
+    bound once per class: _init zips them with its values, and the hot
+    trusted constructors unpack them and call each directly.  Assignment
+    and del raise AttributeError.  Equality and hash read the compared
+    fields through one operator.attrgetter per class, _key: every slot,
+    unless the class statement names fewer with compared= (dotted paths
+    allowed).  Values of different types never compare equal.  Pickling
+    and copying rebuild an instance from all of its slots without
+    running __init__.
     """
 
     __slots__ = ()
@@ -48,10 +50,11 @@ class Frozen:
     def __init_subclass__(cls, compared=None, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*(compared or cls.__slots__))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _init(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_, value in zip(self._setters, values):
+            set_(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -98,18 +101,16 @@ class IntMatrix(Frozen):
             raise ValueError(
                 f"entry count {len(ent)} does not equal rows*cols = {rows * cols}"
             )
-        self._set(rows, cols, ent)
-
-    def _set(self, rows, cols, entries):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        self._init(rows, cols, ent)
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
         """Trusted constructor: entries is a tuple of rows*cols ints."""
         self = object.__new__(cls)
-        self._set(rows, cols, entries)
+        set_rows, set_cols, set_entries = cls._setters
+        set_rows(self, rows)
+        set_cols(self, cols)
+        set_entries(self, entries)
         return self
 
     # ----- constructors -------------------------------------------------
@@ -188,7 +189,7 @@ class IntMatrix(Frozen):
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
         n, e = self.cols, self.entries
-        return tuple(sum(map(mul, e[i * n : i * n + n], vec)) for i in range(self.rows))
+        return tuple([sum(map(mul, e[i * n : i * n + n], vec)) for i in range(self.rows)])
 
     @property
     def shape(self) -> tuple:
@@ -213,13 +214,13 @@ class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
     __slots__ = ("value",)
 
     def __init__(self, value: int | Fraction = 0):
-        object.__setattr__(self, "value", frac_mod1(value))
+        self._init(frac_mod1(value))
 
     @classmethod
     def _wrap(cls, reduced: Fraction) -> "PhaseQ":
         # fast path for callers that guarantee 0 <= reduced < 1
         self = object.__new__(cls)
-        object.__setattr__(self, "value", reduced)
+        cls._setters[0](self, reduced)
         return self
 
     @property
@@ -311,7 +312,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     work, log = _smith_eliminate(A)
     return SmithDecomposition(
         IntMatrix._of(m, n, tuple(e for row in work for e in row)),
-        IntMatrix._of(n, n, tuple(e for row in _replay_columns(log, n) for e in row)),
+        IntMatrix._of(n, n, tuple(e for row in _replay_columns(log, n, 0, n) for e in row)),
     )
 
 
@@ -379,18 +380,18 @@ def _smith_eliminate(A: IntMatrix) -> tuple:
     return work, log
 
 
-def _replay_columns(log: list, n: int, first: int = 0, modulus: int = 0) -> list:
-    """Rows of the n x n V^-1 of log, restricted to its columns first..n-1.
+def _replay_columns(log: list, n: int, first: int, stop: int, modulus: int = 0) -> list:
+    """Rows of the n x n V^-1 of log, restricted to its columns first..stop-1.
 
     V^-1 = E_1 @ ... @ E_K for the column operations E_k of the log, so
     those columns are E_1 @ ... @ E_K applied to the same columns of the
     identity: the log is replayed backwards as row operations (a swap of
     columns t and j swaps rows t and j; col j += c * col t becomes
-    row t += c * row j) on n rows that are only n - first wide.  With a
-    modulus every entry is reduced mod it, which gives V^-1 mod modulus,
-    since an integer row operation commutes with the reduction.
+    row t += c * row j) on n rows only stop - first wide, each column on
+    its own.  A modulus reduces every entry mod it, which gives those
+    columns mod modulus, as integer row operations commute with it.
     """
-    rows = [[int(i == j) for j in range(first, n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(first, stop)] for i in range(n)]
     for op in reversed(log):
         if len(op) == 2:
             t, j = op

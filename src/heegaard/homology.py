@@ -34,12 +34,12 @@ class HomologyProfile(Frozen, compared=("b1", "invariant_factors")):
 
     def __init__(self, b1: int, invariant_factors: tuple, torsion_columns: tuple, kernel_columns: tuple):
         factors = tuple(invariant_factors)
-        set_ = object.__setattr__  # one per manifold, on the hot path
-        set_(self, "b1", b1)
-        set_(self, "invariant_factors", factors)
-        set_(self, "torsion_order", prod(factors))
-        set_(self, "torsion_columns", tuple(torsion_columns))
-        set_(self, "kernel_columns", tuple(kernel_columns))
+        set_b1, set_factors, set_order, set_torsion, set_kernel = self._setters
+        set_b1(self, b1)
+        set_factors(self, factors)
+        set_order(self, prod(factors))
+        set_torsion(self, tuple(torsion_columns))
+        set_kernel(self, tuple(kernel_columns))
 
     def kernel_count(self, k: int) -> int:
         """|{theta in T : k.theta = 0}| = prod of gcd(k, d_i), the k-torsion count."""
@@ -83,27 +83,24 @@ def homology_profile(G: GluingData) -> HomologyProfile:
 
     One Smith elimination of P gives the diagonal; factors equal to 1 are
     dropped and b1 counts its zeros.  Its column operations are replayed
-    on the kept columns of V^-1 alone (_replay_columns): modulo d_r when
-    b1 = 0, since every d_i divides d_r, and not at all when d_r = 1;
-    exactly when b1 > 0, whose kernel columns need integers.  At b1 = 0 no
-    entry grows past d_r, while the exact V^-1 of smith_normal_form
-    reaches tens of thousands of bits at genus 40.
+    on the kept columns of V^-1 alone (_replay_columns), once per kind:
+    the torsion columns modulo d_r, since every d_i divides d_r, and not
+    at all when d_r = 1; the b1 kernel columns exactly, since they must
+    be integers.  So no torsion entry grows past d_r, while the exact
+    V^-1 of smith_normal_form reaches tens of thousands of bits at genus 40.
     """
     g = G.genus
     work, log = _smith_eliminate(G.P)
     diag = [row[i] for i, row in enumerate(work)]
     rank = g - diag.count(0)
     factors = tuple([d for d in diag if d > 1])
-    if rank == g and not factors:
-        return HomologyProfile(0, (), (), ())
-    first = rank - len(factors)
-    cols = list(zip(*_replay_columns(log, g, first, factors[-1] if rank == g else 0)))
-    return HomologyProfile(
-        g - rank,
-        factors,
-        [tuple([x % d for x in c]) for c, d in zip(cols, factors)],
-        cols[len(factors) :],
-    )
+    torsion = kernel = ()
+    if factors:
+        cols = zip(*_replay_columns(log, g, rank - len(factors), rank, factors[-1]))
+        torsion = tuple([tuple([x % d for x in c]) for c, d in zip(cols, factors)])
+    if rank < g:
+        kernel = tuple(zip(*_replay_columns(log, g, rank, g)))
+    return HomologyProfile(g - rank, factors, torsion, kernel)
 
 
 class TorsionElements(Sequence):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .exact import Frozen, PhaseQ, vec_dot
 from .homology import TorsionRep, homology_profile
@@ -36,6 +37,17 @@ class LinkingMatrix(Frozen):
 
     def __init__(self, dims, den: int, num, columns):
         self._init(tuple(dims), den, tuple(map(tuple, num)), tuple(map(tuple, columns)))
+
+    @classmethod
+    def _trusted(cls, dims: tuple, den: int, num: tuple, columns: tuple) -> "LinkingMatrix":
+        """Trusted constructor: every argument is already a tuple (of tuples)."""
+        self = object.__new__(cls)
+        set_dims, set_den, set_num, set_columns = cls._setters
+        set_dims(self, dims)
+        set_den(self, den)
+        set_num(self, num)
+        set_columns(self, columns)
+        return self
 
     @property
     def gram(self) -> tuple:
@@ -75,27 +87,22 @@ def linking_matrix(G: GluingData) -> LinkingMatrix:
     """The linking form over the canonical SNF generators, once per manifold.
 
     gen_i = c_i / d_i, c_i the i-th torsion column of homology_profile(G),
-    and P c_j lies in d_j Z^g, so Gamma(gen_i, gen_j) is the integer
-    <Q c_i, P c_j / d_j> over d_i, reduced mod 1.  The test suite checks
-    every entry against linking_form, which evaluates <Q theta, P vartheta>
-    on the generators directly, and every generator against the torsion
-    group's canonical representatives.
+    and P c_j lies in d_j Z^g, so Gamma(gen_i, gen_j) = a_ij / d_i with
+    a_ij = <Q c_i, P c_j / d_j> mod d_i, and num[i][j] = a_ij * den / d_i.
+    The test suite checks every entry against linking_form, which
+    evaluates <Q theta, P vartheta> on the generators directly, and every
+    generator against the torsion group's canonical representatives.
     """
     profile = homology_profile(G)
     dims, columns = profile.invariant_factors, profile.torsion_columns
     images = [[x // d for x in G.P.apply(c)] for c, d in zip(columns, dims)]
-    fracs = []  # reduced (numerator, denominator) of each entry
-    for c_i, d_i in zip(columns, dims):
-        left = G.Q.apply(c_i)
-        row = []
-        for image in images:
-            a = vec_dot(left, image) % d_i
-            h = gcd(a, d_i)
-            row.append((a // h, d_i // h))
-        fracs.append(row)
-    den = lcm(*(d for row in fracs for _, d in row))
-    num = [[n * (den // d) for n, d in row] for row in fracs]
-    return LinkingMatrix(dims, den, num, columns)
+    rows = [
+        (d_i, [sum(map(mul, left, image)) % d_i for image in images])
+        for left, d_i in zip(map(G.Q.apply, columns), dims)
+    ]
+    den = lcm(*(d_i // gcd(a, d_i) for d_i, row in rows for a in row))
+    num = tuple([tuple([a * den // d_i for a in row]) for d_i, row in rows])
+    return LinkingMatrix._trusted(dims, den, num, columns)
 
 
 class _Degenerate(ValueError):
@@ -126,21 +133,21 @@ def _jordan_splitting(G: GluingData) -> tuple:
     """_jordan_blocks of linking_matrix(G) in a normal form, once per manifold.
 
     A tuple of (p, r, rows as tuples), hashable, in the order
-    _jordan_blocks gives.  The unit u of a cyclic block ⟨u/r⟩ becomes
-    the normal unit of its square class (_class_unit): 1 or the least
-    non-residue mod p for odd p, u mod min(8, r) for p = 2.  Each is u·s² for a unit s mod r, the same
-    block up to isomorphism (Wall, 1963).  2-adic planes stay as split.
+    _jordan_blocks gives, built in one pass over its blocks.  The unit u
+    of a cyclic block ⟨u/r⟩ becomes the normal unit of its square class
+    (_class_unit): 1 or the least non-residue mod p for odd p, u mod
+    min(8, r) for p = 2.  Each is u·s² for a unit s mod r, the same block
+    up to isomorphism (Wall, 1963).  2-adic planes stay as split.
     partition.z_cs scales these blocks by each level and keys its sums
     on their square classes.  A degenerate or refused form raises each
     time it is asked for, since per_manifold keeps only values.
     """
     lm = linking_matrix(G)
-    out = []
-    for p, r, rows in _jordan_blocks(lm.dims, lm.den, lm.num):
-        if len(rows) == 1:
-            rows = [[_class_unit(p, r, _square_class(p, r, rows[0][0]))]]
-        out.append((p, r, tuple(map(tuple, rows))))
-    return tuple(out)
+    return tuple([
+        (p, r, tuple(map(tuple, rows)) if len(rows) > 1
+         else ((_class_unit(p, r, _square_class(p, r, rows[0][0])),),))
+        for p, r, rows in _jordan_blocks(lm.dims, lm.den, lm.num)
+    ])
 
 
 def _square_class(p: int, r: int, u: int) -> int:
@@ -267,14 +274,12 @@ def _jordan_blocks(dims, den: int, num) -> list:
         raise _Degenerate("linking form is degenerate: its denominator is below the exponent of the group")
     if len(dims) == 1 and gcd(num[0][0], den) != 1:
         raise _Degenerate(f"linking form is degenerate: {num[0][0]} is not a unit mod {den}")
+    if len(dims) == 1:  # num[0][0] is a unit mod den, so each part is ⟨m·num/q⟩
+        return [(p, q, [[den // q * num[0][0] % q]]) for p, q in _primary_parts(den)]
     out = []
     for p, q in _primary_parts(den):
         m = den // q
-        if len(dims) == 1:  # num[0][0] is a unit mod den, so the part is ⟨m·num/q⟩
-            blocks = [(q, [[m * num[0][0] % q]])]
-        else:
-            part = [(i, d // gcd(d, q)) for i, d in enumerate(dims) if d % p == 0]
-            A = [[ci * cj * num[i][j] // m % q for j, cj in part] for i, ci in part]
-            blocks = _split_primary(p, q, [dims[i] // c for i, c in part], A)
-        out += [(p, r, rows) for r, rows in blocks]
+        part = [(i, d // gcd(d, q)) for i, d in enumerate(dims) if d % p == 0]
+        A = [[ci * cj * num[i][j] // m % q for j, cj in part] for i, ci in part]
+        out += [(p, r, rows) for r, rows in _split_primary(p, q, [dims[i] // c for i, c in part], A)]
     return out

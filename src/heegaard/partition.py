@@ -67,12 +67,7 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
             if mult:
                 acc[value] = acc.get(value, 0) + mult
         L = lcm(*(v.denominator for v in acc))
-        self._set(L, {v.numerator * (L // v.denominator): m for v, m in acc.items()})
-
-    def _set(self, den, counts):
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_numeric", None)  # eval_numeric's value, once computed
+        self._init(L, {v.numerator * (L // v.denominator): m for v, m in acc.items()}, None)
 
     @classmethod
     def _from_counts(cls, den: int, counts: dict) -> "PhaseSum":
@@ -87,7 +82,10 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
     def _canonical(cls, den: int, counts: dict) -> "PhaseSum":
         """_from_counts for counts already over their reduced denominator."""
         self = object.__new__(cls)
-        self._set(den, counts)
+        set_den, set_counts, set_numeric = cls._setters
+        set_den(self, den)
+        set_counts(self, counts)
+        set_numeric(self, None)  # eval_numeric's value, once computed
         return self
 
     def __reduce__(self):
@@ -224,7 +222,7 @@ def eval_numeric(S: PhaseSum) -> complex:
     value = S._numeric
     if value is None:
         value = _evaluate(S._den, S._counts)
-        object.__setattr__(S, "_numeric", value)
+        PhaseSum._numeric.__set__(S, value)
     return value
 
 
@@ -474,7 +472,7 @@ def _z_bf_class(G: GluingData, k: int) -> PhaseSum:
     }
     S = PhaseSum._canonical(L, dict(enumerate(_gcd_class_fill(L, divisors, mult.__getitem__))))
     try:
-        object.__setattr__(S, "_numeric", complex(_peel(divisors, mult.__getitem__)[L], 0.0))
+        PhaseSum._numeric.__set__(S, complex(_peel(divisors, mult.__getitem__)[L], 0.0))
     except OverflowError:
         pass
     return S
@@ -518,26 +516,27 @@ def _torsion_factor(G: GluingData, k: int) -> complex:
 
     The grid oracle's torsion factor; it reads neither linking_matrix nor
     z_cs.  The class of multi-index a, in TorsionElements order (last
-    index fastest), is θ = y/d_r with y = Σ aᵢ·(d_r/dᵢ)·cᵢ mod d_r, cᵢ the
-    torsion columns of homology_profile, so
-    Γ(θ,θ) = ⟨Qy, Py⟩/d_r² = yᵀ(QᵀP)y/d_r² mod 1.
-    P·cᵢ ∈ dᵢℤ^g is checked once per generator, which by linearity makes
-    every θ a torsion representative.  Each term is the float of the
-    rational k·Γ(θ,θ) mod 1 that linking_form gives, so the terms and the
-    total are bit-identical to a loop over linking_form in Fractions.
+    index fastest), is θ = y/d_r with y = Σ aᵢgᵢ, gᵢ = (d_r/dᵢ)·cᵢ and cᵢ
+    the torsion columns of homology_profile.  P·cᵢ ∈ dᵢℤ^g is checked once
+    per generator, which makes every θ a torsion representative and
+    Γ(θ,θ) = yᵀ(QᵀP)y/d_r² = aᵀBa/d_r² mod 1 with the r × r matrix
+    Bᵢⱼ = ⟨Qgᵢ, Pgⱼ⟩ mod d_r², formed once, so a class costs O(r²), not
+    O(g²).  Each term is the float of the rational k·Γ(θ,θ) mod 1 that
+    linking_form gives, so the terms and the total are bit-identical to
+    a loop over linking_form in Fractions.
     """
     profile = homology_profile(G)
     dims, columns = profile.invariant_factors, profile.torsion_columns
     if any(x % d for c, d in zip(columns, dims) for x in G.P.apply(c)):
         raise ValueError("a torsion column c_i has P·c_i outside d_i·Z^g")
     top = dims[-1] if dims else 1
-    gens = [[top // d * x for x in c] for c, d in zip(columns, dims)]
-    form = (G.Q.transpose() @ G.P).to_rows()
     D2 = top * top
+    gens = [[top // d * x for x in c] for c, d in zip(columns, dims)]
+    images = [G.P.apply(gen) for gen in gens]
+    B = [[sum(map(mul, left, im)) % D2 for im in images] for left in map(G.Q.apply, gens)]
     total = 0j
     for a in product(*map(range, dims)):
-        y = [sum(ai * gen[c] for ai, gen in zip(a, gens)) % top for c in range(G.genus)]
-        v = vec_dot(y, [vec_dot(row, y) for row in form])
+        v = sum(map(mul, a, [sum(map(mul, row, a)) for row in B]))
         total += cmath.exp(-2j * pi * ((k * v) % D2 / D2))
     return total
 

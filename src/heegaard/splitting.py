@@ -135,23 +135,20 @@ class GluingData(Frozen, compared=("genus", "R.entries", "P.entries", "S.entries
         bad = block_relation_violations(R, P, S, Q)
         if bad:
             raise ValidationError(bad)
-        self._set(R, P, S, Q)
-
-    def _set(self, R, P, S, Q):
-        genus = R.rows
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "_memo", {})
+        self._init(R.rows, R, P, S, Q, {})
 
     @classmethod
     def _trusted(cls, R, P, S, Q) -> "GluingData":
         """Trusted constructor: R, P, S, Q are square IntMatrix blocks already
         known to satisfy the six relations."""
         self = object.__new__(cls)
-        self._set(R, P, S, Q)
+        set_genus, set_r, set_p, set_s, set_q, set_memo = cls._setters
+        set_genus(self, R.rows)
+        set_r(self, R)
+        set_p(self, P)
+        set_s(self, S)
+        set_q(self, Q)
+        set_memo(self, {})
         return self
 
     def __reduce__(self):
@@ -264,11 +261,11 @@ def lens(p: int, q: int) -> GluingData:
         # −q·r = 1 forces r = −q; pick the smallest nonnegative s
         r, s = -q, 0
     else:
-        r0 = -pow(q, -1, p) % p
-        r, s = min(
-            ((r, (1 + q * r) // p) for r in (r0, r0 - p)),
-            key=lambda rs: (abs(rs[0]), rs[1] < 0, abs(rs[1]), rs[0] < 0),
-        )
+        r = -pow(q, -1, p) % p
+        s = (1 + q * r) // p
+        s1 = s - q  # the completion at r − p, whose r < 0 loses a full tie
+        if (p - r, s1 < 0, abs(s1)) < (r, s < 0, abs(s)):
+            r, s = r - p, s1
     # genus 1: the four symmetry relations hold for any 1×1 blocks, and
     # both unimodularity relations read p·s − q·r = 1
     det = p * s - q * r
@@ -276,7 +273,8 @@ def lens(p: int, q: int) -> GluingData:
         raise ValidationError(
             [f"P†S − Q†R = {det} ≠ 1", f"SP† − QR† = {det} ≠ 1"]
         )
-    return GluingData._trusted(*(IntMatrix._of(1, 1, (x,)) for x in (r, p, s, q)))
+    of = IntMatrix._of
+    return GluingData._trusted(of(1, 1, (r,)), of(1, 1, (p,)), of(1, 1, (s,)), of(1, 1, (q,)))
 
 
 def connected_sum(g1: GluingData, g2: GluingData) -> GluingData:

@@ -395,6 +395,33 @@ def fraction_torsion_factor(q_rows, p_rows, reps, k):
     return total
 
 
+def g_coordinate_torsion_factor(q_rows, p_rows, dims, columns, k):
+    """Σ e^{−2πik·yᵀ(QᵀP)y/d_r²} over the multi-indices a, in g coordinates.
+
+    The grid oracle's torsion factor as a loop over T that works in the
+    g coordinates of each class: y = Σ aᵢ·(d_r/dᵢ)·cᵢ mod d_r with cᵢ the
+    given torsion columns, then yᵀ(QᵀP)y with QᵀP built once as a g × g
+    matrix, O(g²) per class.  Multi-indices run in itertools order (last
+    index fastest).  The exponent k·v mod d_r² is an integer over d_r²,
+    and only that ratio becomes a float, inside cmath.exp.  Each cᵢ must
+    have P·cᵢ in dᵢℤ^g.
+    """
+    g = len(p_rows)
+    for c, d in zip(columns, dims):
+        if any(sum(a * x for a, x in zip(row, c)) % d for row in p_rows):
+            raise ValueError("a torsion column c_i has P·c_i outside d_i·Z^g")
+    top = dims[-1] if dims else 1
+    gens = [[top // d * x for x in c] for c, d in zip(columns, dims)]
+    form = [[sum(q_rows[m][i] * p_rows[m][j] for m in range(g)) for j in range(g)] for i in range(g)]
+    D2 = top * top
+    total = 0j
+    for a in product(*map(range, dims)):
+        y = [sum(ai * gen[c] for ai, gen in zip(a, gens)) % top for c in range(g)]
+        v = sum(yi * sum(f * yj for f, yj in zip(row, y)) for yi, row in zip(y, form))
+        total += cmath.exp(-2j * pi * ((k * v) % D2 / D2))
+    return total
+
+
 def fraction_grid_window(lattice, free_basis, k, grid_n, m_window, torsion_part):
     """The grid oracle's window loop for b1 > 0, in Fractions.
 

@@ -261,6 +261,13 @@ def assert_columns_are_the_smith_columns(G):
 def test_profile_columns_are_the_smith_columns(corpus):
     randoms = [random_splitting(4 + i % 3, i, (12, 30)[i % 2]) for i in range(12)]
     cases = [*curvature_cases(corpus), *randoms, *(connected_sum(G, lens(0, 1)) for G in randoms)]
+    # b1 = 1 beside torsion, with kernel entries outside [0, d_r) that a reduction mod d_r would move
+    free = [random_splitting(2, 88, 22), random_splitting(2, 233, 12), random_splitting(3, 26, 12)]
+    assert all(
+        any(not 0 <= x < p.invariant_factors[-1] for c in p.kernel_columns for x in c)
+        for p in map(homology_profile, free)
+    )
+    cases += free + [connected_sum(G, lens(35, 8)) for G in free]
     assert {0, 1, 2} <= {assert_columns_are_the_smith_columns(G) for G in cases}
 
 

@@ -251,8 +251,8 @@ def test_linking_matrix_integer_form_consistent(params):
 
 def test_linking_matrix_built_once_per_instance(monkeypatch):
     built = []
-    build = linking.LinkingMatrix
-    monkeypatch.setattr(linking, "LinkingMatrix", lambda *args: built.append(args) or build(*args))
+    build = linking.LinkingMatrix._trusted
+    monkeypatch.setattr(linking.LinkingMatrix, "_trusted", lambda *args: built.append(args) or build(*args))
     G = random_splitting(2, 3, 12)
     assert torsion_elements(G).dims
     lm = linking_matrix(G)

@@ -41,6 +41,7 @@ from heegaard.splitting import (
     lens,
     matrix_to_blocks,
     random_splitting,
+    stabilize,
 )
 from oracle_helpers import (
     bf_pair_histogram,
@@ -48,6 +49,7 @@ from oracle_helpers import (
     fraction_grid_window,
     fraction_torsion_factor,
     fsum_phase_value,
+    g_coordinate_torsion_factor,
     mobius,
 )
 
@@ -1009,6 +1011,46 @@ def test_grid_torsion_factor_is_bit_identical_to_the_fraction_loop(corpus):
             assert repr(partition._torsion_factor(G, k)) == want
             if homology_profile(G).b1 == 0:
                 assert repr(free_mode_grid_oracle(G, k, 5, 2)) == want
+
+
+def g_coordinate_loop(G, k):
+    profile = homology_profile(G)
+    return g_coordinate_torsion_factor(
+        G.Q.to_rows(), G.P.to_rows(), profile.invariant_factors, profile.torsion_columns, k
+    )
+
+
+def stabilized(G, genus):
+    while G.genus < genus:
+        G = stabilize(G)
+    return G
+
+
+def z2_power(n):
+    G = lens(2, 1)
+    for _ in range(n - 1):
+        G = connected_sum(G, lens(2, 1))
+    return G
+
+
+def test_grid_torsion_factor_is_bit_identical_to_the_g_coordinate_loop(corpus):
+    small = [G for G in corpus if homology_profile(G).torsion_order <= 300]
+    twos = [stabilized(z2_power(n), genus) for n, genus in [(3, 3), (4, 9), (6, 14)]]
+    free = [connected_sum(G, lens(0, 1)) for G in small[:10] + twos[:2]]
+    free += [connected_sum(lens(12, 5), connected_sum(lens(0, 1), lens(0, -1)))]
+    assert {homology_profile(G).b1 for G in free} == {1, 2}
+    for G in small + twos + free:
+        for k in (1, 2, 3, 5):
+            assert repr(partition._torsion_factor(G, k)) == repr(g_coordinate_loop(G, k))
+
+
+def test_grid_torsion_factor_at_genus_60_within_a_second():
+    G = stabilized(z2_power(12), 60)  # (Z/2)^12: 4096 classes at genus 60
+    homology_profile(G)
+    t0 = time.perf_counter()
+    values = [partition._torsion_factor(G, k) for k in (1, 3)]
+    assert time.perf_counter() - t0 < 1.0
+    assert repr(values[0]) == repr(g_coordinate_loop(G, 1))  # the reference alone takes ~1 s
 
 
 def test_grid_window_is_bit_identical_to_the_fraction_loop():
