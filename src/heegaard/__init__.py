@@ -11,10 +11,8 @@ from .exact import (
     IntMatrix,
     PhaseQ,
     RationalQ,
-    SmithDecomposition,
     determinant,
     frac_mod1,
-    smith_normal_form,
     vec_dot,
 )
 from .fields import FiniteDBClass, bf_action, cs_action, db_pair, zero_mode_shift
@@ -23,7 +21,6 @@ from .homology import (
     TorsionElements,
     TorsionRep,
     curvature_lattice_basis,
-    free_flat_basis,
     homology_profile,
     torsion_elements,
 )
@@ -40,10 +37,8 @@ from .partition import (
 from .splitting import (
     GluingData,
     ValidationError,
-    anti_symplectic_check,
     block_relation_violations,
     connected_sum,
-    intersection_form,
     lens,
     random_splitting,
     stabilize,
@@ -56,10 +51,8 @@ __all__ = [
     "IntMatrix",
     "PhaseQ",
     "RationalQ",
-    "SmithDecomposition",
     "determinant",
     "frac_mod1",
-    "smith_normal_form",
     "vec_dot",
     "FiniteDBClass",
     "bf_action",
@@ -70,7 +63,6 @@ __all__ = [
     "TorsionElements",
     "TorsionRep",
     "curvature_lattice_basis",
-    "free_flat_basis",
     "homology_profile",
     "torsion_elements",
     "LinkingMatrix",
@@ -86,10 +78,8 @@ __all__ = [
     "z_cs",
     "GluingData",
     "ValidationError",
-    "anti_symplectic_check",
     "block_relation_violations",
     "connected_sum",
-    "intersection_form",
     "lens",
     "random_splitting",
     "stabilize",

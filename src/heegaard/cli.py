@@ -18,12 +18,19 @@ reports {command, results: {manifold, written}}.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from fractions import Fraction
 from math import gcd
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL for one digest
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .exact import IntMatrix, determinant, vec_dot
 from .homology import curvature_lattice_basis, homology_profile
@@ -169,7 +176,7 @@ def _load_manifold(path: str, report: dict):
         raise _Abort(
             1, stderr_obj={"error": {"type": "io", "message": f"cannot read {path}: {exc}"}}
         ) from exc
-    report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    report["input_digest"] = "sha256:" + sha256(raw).hexdigest()
     try:
         G, name = parse_manifold(raw)
     except ValidationError as exc:

@@ -16,9 +16,23 @@ from typing import Iterable, Sequence
 RationalQ = Fraction
 
 
+def _rational(x: int | Fraction) -> Fraction:
+    """x as a Fraction: an int (or bool) or a Fraction, else TypeError.
+
+    Fraction(x) alone would also take a float, a Decimal or a string, and
+    turn 0.1 into the binary value 3602879701896397/36028797018963968.
+    """
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(index(x))
+    except TypeError:
+        raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}") from None
+
+
 def frac_mod1(x: int | Fraction) -> Fraction:
     """Canonical representative of a rational modulo 1, in [0, 1)."""
-    f = Fraction(x)
+    f = _rational(x)
     # gcd(n mod d, d) == gcd(n, d) == 1, so the result is already reduced
     return Fraction(f.numerator % f.denominator, f.denominator)
 
@@ -246,7 +260,7 @@ class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
         return PhaseQ(self.value - other.value)
 
     def __mul__(self, k: int | Fraction) -> "PhaseQ":
-        return PhaseQ(self.value * k)
+        return PhaseQ(self.value * _rational(k))
 
     __rmul__ = __mul__
 
@@ -258,62 +272,6 @@ class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
 
     def __str__(self) -> str:
         return f"{self.value.numerator}/{self.value.denominator}"
-
-
-class SmithDecomposition(Frozen):
-    """Smith form D = U^-1 @ A @ V^-1 of A, kept as D and V^-1 only.
-
-    Nonzero diagonal entries of D are positive and form a divisibility
-    chain d1 | d2 | ... | dr; zeros trail.  The diagonal is canonical for
-    the input matrix, while the unimodular U and V with A = U @ D @ V are
-    not unique.  Column j of A @ v_inverse is d_j times a column of U, and
-    zero for j >= rank; no step of the package reads U or V themselves.
-    """
-
-    __slots__ = ("D", "v_inverse")
-
-    def __init__(self, D: IntMatrix, v_inverse: IntMatrix):
-        self._init(D, v_inverse)
-
-    @property
-    def diagonal(self) -> tuple:
-        d = self.D
-        return d.entries[:: d.cols + 1][: min(d.rows, d.cols)]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-    def __repr__(self) -> str:
-        return f"SmithDecomposition(diagonal={list(self.diagonal)!r})"
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with the column transform V^-1 tracked.
-
-    Parameters
-    ----------
-    A : IntMatrix
-        Any integer matrix, including zero and non-square ones.
-
-    Returns
-    -------
-    SmithDecomposition
-        D and a unimodular V^-1 such that A = U @ D @ V for some unimodular
-        U, with the diagonal of D the canonical invariant-factor chain.
-
-    D comes from _smith_eliminate and V^-1 from replaying its column
-    operations exactly.  Nearest-integer quotients slow the growth of
-    V^-1, but nothing reduces it, so its entries still grow with A: tens
-    of thousands of bits at genus 40, where homology_profile replays the
-    same operations modulo d_r instead.
-    """
-    m, n = A.rows, A.cols
-    work, log = _smith_eliminate(A)
-    return SmithDecomposition(
-        IntMatrix._of(m, n, tuple(e for row in work for e in row)),
-        IntMatrix._of(n, n, tuple(e for row in _replay_columns(log, n, 0, n) for e in row)),
-    )
 
 
 def _smith_eliminate(A: IntMatrix) -> tuple:

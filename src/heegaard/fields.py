@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 
-from .exact import Frozen, PhaseQ, RationalQ, vec_dot
+from .exact import Frozen, PhaseQ, RationalQ, _rational, vec_dot
 from .homology import TorsionRep
 from .linking import linking_form
 from .partition import _check_level
@@ -38,8 +38,8 @@ class FiniteDBClass(Frozen):
     ):
         g = G.genus
         m = tuple(map(index, m if m is not None else [0] * g))
-        theta_f = tuple(Fraction(x) for x in (theta_f if theta_f is not None else [0] * g))
-        holonomy = tuple(Fraction(x) for x in (holonomy if holonomy is not None else [0] * g))
+        theta_f = tuple(map(_rational, theta_f if theta_f is not None else [0] * g))
+        holonomy = tuple(map(_rational, holonomy if holonomy is not None else [0] * g))
         if theta_t is None:
             theta_t = TorsionRep([Fraction(0)] * g)
         elif not isinstance(theta_t, TorsionRep):
@@ -52,7 +52,7 @@ class FiniteDBClass(Frozen):
             raise ValueError("sector constraint violation: theta_f is not a free flat mode")
         if any(x.denominator != 1 for x in G.P.apply(theta_t.theta)):
             raise ValueError("sector constraint violation: P·theta_t is not integral")
-        self._init(G, m, theta_f, theta_t, holonomy, Fraction(smooth_self))
+        self._init(G, m, theta_f, theta_t, holonomy, _rational(smooth_self))
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict: integer vectors plain, rationals as "num/den"."""
@@ -123,7 +123,7 @@ def bf_action(
     _check_consistent(G, B, "B")
     gamma = linking_form(G, A.theta_t, B.theta_t).value
     val = (
-        k * Fraction(cross)
+        k * _rational(cross)
         + k * vec_dot(B.m, A.holonomy)
         + k * vec_dot(A.m, B.holonomy)
         - k * vec_dot(A.theta_f, B.m)
@@ -156,7 +156,7 @@ def db_pair(G: GluingData, A: FiniteDBClass, B: FiniteDBClass, cross: RationalQ 
         - vec_dot(B.m, flat_a)
         + vec_dot(A.m, B.holonomy)
         + vec_dot(B.m, A.holonomy)
-        + Fraction(cross)
+        + _rational(cross)
         - gamma
     )
     return PhaseQ(val)

@@ -5,7 +5,7 @@ homology_profile runs the one Smith elimination of P in the pipeline and
 keeps the invariant factors, the torsion columns of V^-1 reduced mod d_i
 (canonical rational representatives theta = c_i / d_i with P theta
 integral) and the kernel columns of V^-1, a saturated integer basis of
-ker P; it builds no SmithDecomposition.
+ker P; no other column of V^-1 is built.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, prod
 
-from .exact import Frozen, _replay_columns, _smith_eliminate, vec_dot
+from .exact import Frozen, _rational, _replay_columns, _smith_eliminate, vec_dot
 from .splitting import GluingData, per_manifold
 
 
@@ -58,7 +58,7 @@ class TorsionRep(Frozen):
     __slots__ = ("theta",)
 
     def __init__(self, theta):
-        vals = tuple(Fraction(x) for x in theta)
+        vals = tuple(map(_rational, theta))
         for x in vals:
             if not 0 <= x < 1:
                 raise ValueError(f"component {x} is outside [0, 1)")
@@ -86,8 +86,8 @@ def homology_profile(G: GluingData) -> HomologyProfile:
     on the kept columns of V^-1 alone (_replay_columns), once per kind:
     the torsion columns modulo d_r, since every d_i divides d_r, and not
     at all when d_r = 1; the b1 kernel columns exactly, since they must
-    be integers.  So no torsion entry grows past d_r, while the exact
-    V^-1 of smith_normal_form reaches tens of thousands of bits at genus 40.
+    be integers.  So no torsion entry grows past d_r, while an exact
+    V^-1 would reach tens of thousands of bits at genus 40.
     """
     g = G.genus
     work, log = _smith_eliminate(G.P)
@@ -159,11 +159,6 @@ class TorsionElements(Sequence):
 def torsion_elements(G: GluingData) -> TorsionElements:
     """All torsion classes of coker P, identity included, as canonical reps."""
     return TorsionElements(G)
-
-
-def free_flat_basis(G: GluingData) -> list:
-    """Q-basis of the free flat modes {x in Q^g : P x = 0}; dimension b1."""
-    return [tuple(map(Fraction, c)) for c in homology_profile(G).kernel_columns]
 
 
 def curvature_lattice_basis(G: GluingData) -> list:

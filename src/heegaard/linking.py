@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact import Frozen, PhaseQ, vec_dot
+from .exact import Frozen, PhaseQ, _rational, vec_dot
 from .homology import TorsionRep, homology_profile
 from .splitting import _ENUMERATION_LIMIT, GluingData, per_manifold
 
@@ -71,7 +71,7 @@ def linking_form(G: GluingData, theta, vartheta) -> PhaseQ:
     """
     vecs = []
     for name, raw in (("theta", theta), ("vartheta", vartheta)):
-        vec = tuple(Fraction(x) for x in raw)
+        vec = tuple(map(_rational, raw))
         if len(vec) != G.genus:
             raise ValueError(f"{name} has length {len(vec)}, expected {G.genus}")
         image = G.P.apply(vec)

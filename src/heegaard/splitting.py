@@ -155,11 +155,6 @@ class GluingData(Frozen, compared=("genus", "R.entries", "P.entries", "S.entries
         # the blocks alone, re-validated on load; _memo does not travel
         return GluingData, (self.R, self.P, self.S, self.Q)
 
-    @property
-    def matrix(self) -> IntMatrix:
-        """The full 2g x 2g gluing matrix [[R, P], [S, Q]]."""
-        return blocks_to_matrix(self.R, self.P, self.S, self.Q)
-
     def __repr__(self) -> str:
         return (
             f"GluingData(genus={self.genus}, R={self.R.to_rows()}, "
@@ -193,52 +188,6 @@ def validate(r, p, s, q) -> GluingData:
     by name with both sides printed.
     """
     return GluingData(r, p, s, q)
-
-
-def intersection_form(genus: int) -> IntMatrix:
-    """The surface intersection form J = [[0, I], [−I, 0]] on 2g generators."""
-    g = genus
-    rows = []
-    for i in range(2 * g):
-        row = [0] * (2 * g)
-        if i < g:
-            row[g + i] = 1
-        else:
-            row[i - g] = -1
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
-
-
-def blocks_to_matrix(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> IntMatrix:
-    g = R.rows
-    rows = []
-    for i in range(g):
-        rows.append(list(R.row(i)) + list(P.row(i)))
-    for i in range(g):
-        rows.append(list(S.row(i)) + list(Q.row(i)))
-    return IntMatrix.from_rows(rows)
-
-
-def matrix_to_blocks(M: IntMatrix) -> tuple:
-    if not M.is_square or M.rows % 2:
-        raise ValueError("gluing matrix must be square of even size")
-    g = M.rows // 2
-    sub = lambda r0, c0: IntMatrix.from_rows(
-        [[M[r0 + i, c0 + j] for j in range(g)] for i in range(g)]
-    )
-    return sub(0, 0), sub(0, g), sub(g, 0), sub(g, g)
-
-
-def anti_symplectic_check(r, p, s, q) -> bool:
-    """True iff the assembled matrix M satisfies M†JM = −J.
-
-    Takes raw blocks so that invalid candidates can be probed; agrees with
-    block_relation_violations on every input.
-    """
-    R, P, S, Q = _coerce_blocks(r, p, s, q)
-    M = blocks_to_matrix(R, P, S, Q)
-    J = intersection_form(R.rows)
-    return M.transpose() @ J @ M == -J
 
 
 def lens(p: int, q: int) -> GluingData:

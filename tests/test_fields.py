@@ -14,18 +14,16 @@ from heegaard.fields import (
 )
 from heegaard.homology import (
     curvature_lattice_basis,
-    free_flat_basis,
     homology_profile,
     torsion_elements,
 )
 from heegaard.splitting import (
     GluingData,
-    blocks_to_matrix,
     connected_sum,
     lens,
-    matrix_to_blocks,
     random_splitting,
 )
+from conftest import blocks_to_matrix, free_flat_basis, gluing_matrix, matrix_to_blocks
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 120), st.sampled_from([0, 3, 6, 10, 15])
@@ -185,7 +183,7 @@ def test_db_pair_pinned_curvature_against_torsion():
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
     zero = IntMatrix.zeros(2, 2)
     W = blocks_to_matrix(swap, zero, zero, swap)
-    G = GluingData(*matrix_to_blocks(W @ base.matrix))
+    G = GluingData(*matrix_to_blocks(W @ gluing_matrix(base)))
     assert G.P.to_rows() == ((0, 0), (3, 0))
     A = FiniteDBClass(G, m=[1, 0])
     B = FiniteDBClass(G, theta_t=[Fraction(1, 3), Fraction(0)])

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from heegaard import cli, linking, partition
 from heegaard.exact import PhaseQ
-from heegaard.homology import free_flat_basis, homology_profile, torsion_elements
+from heegaard.homology import homology_profile, torsion_elements
 from heegaard.linking import is_nondegenerate, linking_form, linking_matrix
 from heegaard.partition import PhaseSum, z_cs
 from heegaard.splitting import GluingData, connected_sum, lens, random_splitting, stabilize
+from conftest import free_flat_basis
 from oracle_helpers import diag_quad_counts, index_sum, radical_order_scan, radical_order_smith
 
 splitting_params = st.tuples(

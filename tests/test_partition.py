@@ -14,12 +14,11 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import heegaard.partition as partition
-from heegaard.exact import IntMatrix, PhaseQ, frac_mod1, smith_normal_form
+from heegaard.exact import IntMatrix, PhaseQ, frac_mod1
 from heegaard.fields import FiniteDBClass
 from heegaard.homology import (
     TorsionRep,
     curvature_lattice_basis,
-    free_flat_basis,
     homology_profile,
     torsion_elements,
 )
@@ -36,13 +35,12 @@ from heegaard.partition import (
 from heegaard.splitting import (
     _ENUMERATION_LIMIT,
     GluingData,
-    blocks_to_matrix,
     connected_sum,
     lens,
-    matrix_to_blocks,
     random_splitting,
     stabilize,
 )
+from conftest import blocks_to_matrix, free_flat_basis, gluing_matrix, matrix_to_blocks
 from oracle_helpers import (
     bf_pair_histogram,
     diag_quad_counts,
@@ -146,7 +144,6 @@ def test_phase_sum_immutable():
         lambda: PhaseQ(Fraction(3, 7)),
         lambda: z_cs(lens(7, 3), 2),
         lambda: random_splitting(2, 5, 12),
-        lambda: smith_normal_form(IntMatrix.from_rows([[4, 6], [2, -8]])),
         lambda: homology_profile(random_splitting(2, 5, 12)),
         lambda: TorsionRep([Fraction(1, 3), 0]),
         lambda: linking_matrix(random_splitting(2, 5, 12)),
@@ -157,7 +154,6 @@ def test_phase_sum_immutable():
         "PhaseQ",
         "PhaseSum",
         "GluingData",
-        "SmithDecomposition",
         "HomologyProfile",
         "TorsionRep",
         "LinkingMatrix",
@@ -191,7 +187,6 @@ COMPARED_SLOTS = {
     "PhaseQ": {"value": True},
     "PhaseSum": {"_den": True, "_counts": True, "_numeric": False},
     "GluingData": {"genus": True, "R": True, "P": True, "S": True, "Q": True, "_memo": False},
-    "SmithDecomposition": {"D": True, "v_inverse": True},
     "HomologyProfile": {
         "b1": True,
         "invariant_factors": True,
@@ -219,7 +214,6 @@ def value_samples():
         PhaseQ(Fraction(3, 7)),
         z_cs(lens(7, 3), 2),
         G,
-        smith_normal_form(IntMatrix.from_rows([[4, 6], [2, -8]])),
         homology_profile(G),
         TorsionRep([Fraction(1, 3), 0]),
         linking_matrix(G),
@@ -235,7 +229,7 @@ def with_slots(x, **slots):
     return y
 
 
-@pytest.mark.parametrize("index", range(9), ids=list(COMPARED_SLOTS))
+@pytest.mark.parametrize("index", range(8), ids=list(COMPARED_SLOTS))
 def test_equality_reads_exactly_the_compared_fields(index):
     x = value_samples()[index]
     compared = COMPARED_SLOTS[type(x).__name__]
@@ -262,10 +256,10 @@ def test_values_of_different_types_never_compare_equal():
         for y in values:
             assert (x == y) == (x is y)
     # equal keys, different types
-    smith = smith_normal_form(IntMatrix.from_rows([[4, 6], [2, -8]]))
-    hp = with_slots(homology_profile(lens(5, 2)), b1=smith.D, invariant_factors=smith.v_inverse)
-    assert hp._key(hp) == smith._key(smith)
-    assert hp != smith and smith != hp
+    phase = PhaseQ(Fraction(3, 7))
+    hp = with_slots(homology_profile(lens(5, 2)), b1=3, invariant_factors=7)
+    assert hp._key(hp) == phase._key(phase)
+    assert hp != phase and phase != hp
 
 
 def test_eval_numeric_pinned():
@@ -903,7 +897,7 @@ def test_presentation_invariance_law(params, data):
     assume(1 < homology_profile(G).torsion_order <= 2000)
     g = G.genus
     X, Y = handlebody_move(data, g), handlebody_move(data, g)
-    H = GluingData(*matrix_to_blocks(X @ G.matrix @ Y))
+    H = GluingData(*matrix_to_blocks(X @ gluing_matrix(G) @ Y))
     assert homology_profile(H) == homology_profile(G)
     assert is_nondegenerate(H) == is_nondegenerate(G)
     assert jordan_scale_ranks(H) == jordan_scale_ranks(G)

@@ -13,17 +13,14 @@ from heegaard.exact import IntMatrix, determinant
 from heegaard.splitting import (
     GluingData,
     ValidationError,
-    anti_symplectic_check,
     block_relation_violations,
-    blocks_to_matrix,
     connected_sum,
-    intersection_form,
     lens,
-    matrix_to_blocks,
     random_splitting,
     stabilize,
     validate,
 )
+from conftest import blocks_to_matrix, gluing_matrix, matrix_to_blocks
 from oracle_helpers import plain_anti_symplectic, two_sided_relation_violations
 
 splitting_params = st.tuples(
@@ -110,7 +107,7 @@ def test_valid_samples_pass_both_checkers_and_oracle(params):
     G = random_splitting(*params)
     r, p, s, q = blocks_of(G)
     assert not block_relation_violations(r, p, s, q)
-    assert anti_symplectic_check(r, p, s, q)
+    assert not two_sided_relation_violations(r, p, s, q)
     assert plain_anti_symplectic(r, p, s, q)
 
 
@@ -128,7 +125,7 @@ def test_perturbed_samples_agree_across_checkers(params, block, i, j, delta):
     g = len(target)
     target[i % g][j % g] += delta
     ok_relations = not block_relation_violations(r, p, s, q)
-    assert ok_relations == anti_symplectic_check(r, p, s, q)
+    assert ok_relations == (not two_sided_relation_violations(r, p, s, q))
     assert ok_relations == plain_anti_symplectic(r, p, s, q)
 
 
@@ -222,7 +219,7 @@ def test_invalid_splitting_evaluates_all_six_relations(monkeypatch):
 @given(splitting_params)
 def test_valid_determinant_sign(params):
     G = random_splitting(*params)
-    assert determinant(G.matrix) == (-1) ** G.genus
+    assert determinant(gluing_matrix(G)) == (-1) ** G.genus
 
 
 @given(splitting_params)
@@ -230,8 +227,9 @@ def test_matrix_inverse_closed_form(params):
     G = random_splitting(*params)
     ident = IntMatrix.identity(2 * G.genus)
     inverse = blocks_to_matrix(-G.Q.transpose(), G.P.transpose(), G.S.transpose(), -G.R.transpose())
-    assert G.matrix @ inverse == ident
-    assert inverse @ G.matrix == ident
+    M = gluing_matrix(G)
+    assert M @ inverse == ident
+    assert inverse @ M == ident
 
 
 def test_block_matrix_roundtrip():
@@ -239,12 +237,6 @@ def test_block_matrix_roundtrip():
     M = blocks_to_matrix(G.R, G.P, G.S, G.Q)
     r, p, s, q = matrix_to_blocks(M)
     assert (r, p, s, q) == (G.R, G.P, G.S, G.Q)
-
-
-def test_intersection_form_shape():
-    J = intersection_form(2)
-    assert J.to_rows() == ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
-    assert J.transpose() == -J
 
 
 # ------------------------------------------------------------------- lens
@@ -371,7 +363,8 @@ def literal_word_blocks(genus, seed, word_length):
     """random_splitting's recipe with each transvection as a full 2g × 2g product."""
     n = 2 * genus
     rng = random.Random(f"heegaard:{genus}:{seed}:{word_length}")
-    J = intersection_form(genus)
+    z, i = IntMatrix.zeros(genus, genus), IntMatrix.identity(genus)
+    J = blocks_to_matrix(z, i, -i, z)
     vecs = splitting._transvection_vectors(genus)
     W = IntMatrix.identity(n)
     for _ in range(word_length):
@@ -380,7 +373,6 @@ def literal_word_blocks(genus, seed, word_length):
         col = IntMatrix(n, 1, [int(j in ones) for j in range(n)])
         scaled = IntMatrix(n, 1, [c * int(j in ones) for j in range(n)])
         W = W @ (IntMatrix.identity(n) + scaled @ (col.transpose() @ J))
-    z, i = IntMatrix.zeros(genus, genus), IntMatrix.identity(genus)
     return matrix_to_blocks(blocks_to_matrix(z, i, i, z) @ W)
 
 
