@@ -11,7 +11,6 @@ from .exact import (
     IntMatrix,
     PhaseQ,
     RationalQ,
-    determinant,
     frac_mod1,
     vec_dot,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "IntMatrix",
     "PhaseQ",
     "RationalQ",
-    "determinant",
     "frac_mod1",
     "vec_dot",
     "FiniteDBClass",

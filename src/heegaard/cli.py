@@ -32,7 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .exact import IntMatrix, determinant, vec_dot
+from .exact import IntMatrix, _smith_eliminate, vec_dot
 from .homology import curvature_lattice_basis, homology_profile
 from .linking import linking_matrix
 from .partition import (
@@ -277,13 +277,15 @@ def _free_pairing_degenerate(G) -> bool:
     On such a gluing no grid size can separate that label from zero, so the
     grid oracle's delta reduction is unavailable (its aliasing guard would
     reject every grid).  Both kernels have dimension b1, so the pairing
-    matrix is square and degeneracy is just det = 0.
+    matrix is square, and it is degenerate just when its Smith form has
+    a zero on the diagonal.
     """
     free = homology_profile(G).kernel_columns
     if not free:
         return False
     curv = curvature_lattice_basis(G)
-    return determinant(IntMatrix.from_rows([[vec_dot(f, m) for m in curv] for f in free])) == 0
+    D, _ = _smith_eliminate(IntMatrix.from_rows([[vec_dot(f, m) for m in curv] for f in free]))
+    return not all(D[t][t] for t in range(len(D)))
 
 
 def _grid_oracle_with_retries(G, k):

@@ -143,10 +143,6 @@ class IntMatrix(Frozen):
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     # ----- access -------------------------------------------------------
 
     def __getitem__(self, key) -> int:
@@ -243,11 +239,6 @@ class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
 
     @property
     def denominator(self) -> int:
-        return self.value.denominator
-
-    @property
-    def order(self) -> int:
-        """Order of the phase in the group Q/Z (1 for the zero phase)."""
         return self.value.denominator
 
     def __add__(self, other: "PhaseQ") -> "PhaseQ":
@@ -361,29 +352,3 @@ def _replay_columns(log: list, n: int, first: int, stop: int, modulus: int = 0) 
             j, t, c = op
             rows[t] = [a + c * b for a, b in zip(rows[t], rows[j])]
     return rows
-
-
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant via the fraction-free Bareiss elimination."""
-    if not A.is_square:
-        raise ValueError("determinant requires a square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = [list(A.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if p is None:
-                return 0
-            M[k], M[p] = M[p], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division is exact by the Sylvester identity
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]

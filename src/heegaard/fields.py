@@ -54,17 +54,6 @@ class FiniteDBClass(Frozen):
             raise ValueError("sector constraint violation: P·theta_t is not integral")
         self._init(G, m, theta_f, theta_t, holonomy, _rational(smooth_self))
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready dict: integer vectors plain, rationals as "num/den"."""
-        rat = lambda x: f"{x.numerator}/{x.denominator}"
-        return {
-            "m": list(self.m),
-            "theta_f": [rat(x) for x in self.theta_f],
-            "theta_t": [rat(x) for x in self.theta_t],
-            "holonomy": [rat(x) for x in self.holonomy],
-            "smooth_self": rat(self.smooth_self),
-        }
-
     def replace(self, **kwargs) -> "FiniteDBClass":
         """Copy with some sectors replaced (re-validates)."""
         data = {

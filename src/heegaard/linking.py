@@ -5,9 +5,9 @@ representatives.  Symmetry and representative independence follow from the
 block relations and are asserted by the test suite rather than assumed.
 The form's orthogonal splitting into p-primary Jordan blocks
 (_jordan_blocks) exists exactly when the form is nondegenerate.  It is
-run once per manifold and put in a normal form (_jordan_splitting), and
-that one splitting is both how is_nondegenerate decides and what
-partition scales by each level to build Z_CS.
+run once per manifold (_jordan_splitting), and that one splitting is
+both how is_nondegenerate decides and what partition scales by each
+level to build Z_CS.
 """
 
 from __future__ import annotations
@@ -130,24 +130,16 @@ def is_nondegenerate(G: GluingData) -> bool:
 
 @per_manifold
 def _jordan_splitting(G: GluingData) -> tuple:
-    """_jordan_blocks of linking_matrix(G) in a normal form, once per manifold.
+    """_jordan_blocks of linking_matrix(G), once per manifold.
 
     A tuple of (p, r, rows as tuples), hashable, in the order
-    _jordan_blocks gives, built in one pass over its blocks.  The unit u
-    of a cyclic block ⟨u/r⟩ becomes the normal unit of its square class
-    (_class_unit): 1 or the least non-residue mod p for odd p, u mod
-    min(8, r) for p = 2.  Each is u·s² for a unit s mod r, the same block
-    up to isomorphism (Wall, 1963).  2-adic planes stay as split.
-    partition.z_cs scales these blocks by each level and keys its sums
-    on their square classes.  A degenerate or refused form raises each
+    _jordan_blocks gives.  partition.z_cs scales these blocks by each
+    level and keys its sums on their square classes (_square_class), so
+    no unit is rewritten here.  A degenerate or refused form raises each
     time it is asked for, since per_manifold keeps only values.
     """
     lm = linking_matrix(G)
-    return tuple([
-        (p, r, tuple(map(tuple, rows)) if len(rows) > 1
-         else ((_class_unit(p, r, _square_class(p, r, rows[0][0])),),))
-        for p, r, rows in _jordan_blocks(lm.dims, lm.den, lm.num)
-    ])
+    return tuple([(p, r, tuple(map(tuple, rows))) for p, r, rows in _jordan_blocks(lm.dims, lm.den, lm.num)])
 
 
 def _square_class(p: int, r: int, u: int) -> int:
@@ -155,22 +147,10 @@ def _square_class(p: int, r: int, u: int) -> int:
 
     u mod min(8, r) for p = 2, and for odd p the Legendre symbol (u | p)
     by Euler's criterion, as 1 or p − 1.  u and u·s² have one class for
-    every unit s, and units of one class give isomorphic blocks ⟨u/r⟩.
+    every unit s, and units of one class give isomorphic blocks ⟨u/r⟩
+    (Wall, 1963).
     """
     return u % min(8, r) if p == 2 else pow(u, (p - 1) // 2, p)
-
-
-def _class_unit(p: int, r: int, c: int) -> int:
-    """The normal unit of the square class c mod r (_square_class).
-
-    c itself for p = 2; for odd p, 1 or the least non-residue mod p.
-    """
-    if p == 2 or c == 1:
-        return c
-    n = 2
-    while _square_class(p, r, n) == 1:
-        n += 1
-    return n
 
 
 def _primary_parts(n: int) -> list:

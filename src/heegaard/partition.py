@@ -36,7 +36,7 @@ from operator import index, mul
 
 from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile
-from .linking import _class_unit, _jordan_splitting, _primary_parts, _square_class, is_nondegenerate
+from .linking import _jordan_splitting, _primary_parts, _square_class, is_nondegenerate
 from .splitting import _ENUMERATION_LIMIT, GluingData, _check_enumerable, per_manifold
 
 
@@ -91,10 +91,6 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
     def __reduce__(self):
         return PhaseSum._from_counts, (self._den, self._counts)
 
-    @classmethod
-    def from_phases(cls, phases) -> "PhaseSum":
-        return cls(Counter(phases))
-
     def items(self) -> tuple:
         """Term list sorted by ascending phase; the canonical order."""
         L = self._den
@@ -111,9 +107,6 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
         value = _phase_value(phase)
         q, rem = divmod(self._den, value.denominator)
         return None if rem else value.numerator * q
-
-    def multiplicity(self, phase) -> int:
-        return self._counts.get(self._numerator(phase), 0)
 
     @property
     def total_terms(self) -> int:
@@ -167,19 +160,6 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
                 b = (a + b) % L
                 acc[b] = acc.get(b, 0) + x * y
         return PhaseSum._from_counts(L, acc)
-
-    def shift(self, phase: PhaseQ) -> "PhaseSum":
-        """Multiply the whole sum by e^{2*pi*i*phase}."""
-        L = lcm(self._den, phase.denominator)
-        scale = L // self._den
-        step = phase.numerator * (L // phase.denominator)
-        return PhaseSum._from_counts(
-            L, {(n * scale + step) % L: m for n, m in self._counts.items()}
-        )
-
-    def conjugate(self) -> "PhaseSum":
-        L = self._den
-        return PhaseSum._from_counts(L, {-n % L: m for n, m in self._counts.items()})
 
     def to_mapping(self) -> dict:
         """JSON-ready dict {\"num/den\": multiplicity}."""
@@ -321,10 +301,13 @@ def z_cs(G: GluingData, k: int) -> PhaseSum:
     (Wall, 1963).  The key of one module table (_CS_SUMS) lists, per
     block, pᶠ, q and that class (a plane's rows, n if q = 1), so it also
     fixes the multiplicity Π p^{j·n}.  On a miss the sum is the product
-    of the scaled blocks' histograms (_jordan_histogram), each bin times
-    the multiplicity.  So k and k·s² for a unit s, and every manifold
-    with an isomorphic form and the same block orders, get one PhaseSum
-    object, which eval_numeric evaluates once.  The table holds no
+    of the histograms (_jordan_histogram) of the scaled blocks ⟨m·u/q⟩,
+    built from the block's own unit, and of the planes rows/q, each bin
+    times the multiplicity; isomorphic blocks have one histogram, so the
+    entry does not depend on which manifold or level missed first.  So
+    k and k·s² for a unit s, and every manifold with an isomorphic form
+    and the same block orders, get one PhaseSum object, which
+    eval_numeric evaluates once.  The table holds no
     reference to any manifold and at most _ENUMERATION_LIMIT bins: an
     insert that would pass that empties it first.  The identity class
     contributes phase 0, so the sphere normalizes to {0: 1}.  A Jordan
@@ -349,12 +332,12 @@ def z_cs(G: GluingData, k: int) -> PhaseSum:
     S = _CS_SUMS.get(key)
     if S is None:
         mult, scaled = 1, []
-        for (p, r, rows), q, c in zip(blocks, key[1::3], key[2::3]):
+        for (p, r, rows), q in zip(blocks, key[1::3]):
             n = len(rows)
             _check_enumerable("Jordan block order" if n == 1 else "Jordan plane order", r**n)
             mult *= (r // q) ** n
-            if q > 1:
-                scaled.append((p, q, rows if n == 2 else ((_class_unit(p, q, c),),)))
+            if q > 1:  # m = −k/pʲ with pʲ = r/q, as in the key
+                scaled.append((p, q, rows if n == 2 else ((-k // (r // q) * rows[0][0] % q,),)))
         S = _jordan_histogram(scaled)
         if mult > 1:
             S = PhaseSum._canonical(S._den, {x: c * mult for x, c in S._counts.items()})

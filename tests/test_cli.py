@@ -10,7 +10,9 @@ from hypothesis import example, given, strategies as st
 
 import heegaard
 import heegaard.splitting as splitting
-from heegaard.cli import parse_manifold, run, serialize_manifold
+from heegaard.cli import _free_pairing_degenerate, parse_manifold, run, serialize_manifold
+from heegaard.exact import vec_dot
+from heegaard.homology import curvature_lattice_basis, homology_profile
 from heegaard.splitting import GluingData, ValidationError, connected_sum, lens, random_splitting
 from conftest import gluing_matrix
 from oracle_helpers import det_laplace, minor_gcd_diagonal
@@ -428,6 +430,25 @@ def test_oracle_subcommand_on_degenerate_pairing(capture, tmp_path):
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
     assert "skipped" in checks["free_mode_grid"]
+
+
+def test_free_pairing_degeneracy_matches_cofactor_expansion():
+    # a zero on the Smith diagonal of the free-mode/curvature pairing against
+    # det = 0 by cofactor expansion, on b1 <= 3 so the matrices stay 3 x 3
+    verdicts = []
+    for genus in range(1, 5):
+        for seed in range(100):
+            for word_length in (0, 3, 6, 10, 15):
+                G = random_splitting(genus, seed, word_length)
+                for H in (G, connected_sum(G, lens(0, 1))):
+                    profile = homology_profile(H)
+                    if not 1 <= profile.b1 <= 3:
+                        continue
+                    curv = curvature_lattice_basis(H)
+                    pairing = [[vec_dot(f, m) for m in curv] for f in profile.kernel_columns]
+                    verdicts.append(det_laplace(pairing) == 0)
+                    assert _free_pairing_degenerate(H) == verdicts[-1], (genus, seed, word_length)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_oracle_skips_the_grid_past_the_enumeration_limit(capture, tmp_path):

@@ -25,7 +25,6 @@ def test_public_names():
         "IntMatrix",
         "PhaseQ",
         "RationalQ",
-        "determinant",
         "frac_mod1",
         "vec_dot",
         "FiniteDBClass",
@@ -63,27 +62,54 @@ def test_public_names():
 
 
 def code_references(path):
-    """(name, owner) for each name that code in the file reads, as a variable
-    or an attribute; owner is the top-level def or class around it, or None."""
+    """(name, owners, attribute) for each name that code in the file reads:
+    owners are the names of the defs and classes around the read, and
+    attribute is True for an attribute read, False for a variable."""
     refs = set()
-    for top in ast.parse(path.read_text(encoding="utf-8")).body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.add((node.id, owner))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                refs.add((node.attr, owner))
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add((node.id, owners, False))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add((node.attr, owners, True))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     return refs
 
 
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = [p for p in (ROOT / "src" / "heegaard").glob("*.py") if p.name != "__init__.py"]
+# the code whose reads count: docstrings are not code, and tests do not count
+READERS = [*LIBRARY, *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+
+
 def test_no_public_name_is_test_only():
-    # every exported name is read by the library, the bench or a demo outside
-    # its own definition; docstrings are not code, and tests do not count
-    root = Path(__file__).resolve().parents[1]
-    files = [p for p in (root / "src" / "heegaard").glob("*.py") if p.name != "__init__.py"]
-    files += [*(root / "bench").glob("*.py"), *(root / "demos").glob("*.py")]
-    used = {name for path in files for name, owner in code_references(path) if name != owner}
+    # every exported name is read outside its own definition
+    used = {name for path in READERS for name, owners, _ in code_references(path) if name not in owners}
     assert [name for name in heegaard.__all__ if name not in used] == []
+
+
+def test_no_public_method_is_test_only():
+    # every public method or property of an exported class is read as an
+    # attribute outside its own definition
+    methods = [
+        (cls.name, node.name)
+        for path in LIBRARY
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef) and cls.name in heegaard.__all__
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(methods) > 10
+    read = {
+        name for path in READERS for name, owners, attribute in code_references(path)
+        if attribute and name not in owners
+    }
+    assert [f"{cls}.{name}" for cls, name in methods if name not in read] == []
 
 
 def test_import_does_not_load_numpy():

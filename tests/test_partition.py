@@ -75,7 +75,7 @@ def test_phase_sum_canonical():
     a = PhaseSum({PhaseQ(Fraction(1, 3)): 2, PhaseQ(0): 1})
     b = PhaseSum([(Fraction(1, 3), 1), (Fraction(4, 3), 1), (0, 1)])
     assert a == b and hash(a) == hash(b)
-    assert a.multiplicity(PhaseQ(Fraction(1, 3))) == 2
+    assert a.to_mapping() == {"0/1": 1, "1/3": 2}
     assert a.total_terms == 3
     assert len(a) == 2
     assert PhaseQ(0) in a and PhaseQ(Fraction(1, 7)) not in a
@@ -97,22 +97,16 @@ def test_phase_sum_items_sorted():
 def test_phase_sum_algebra():
     s = PhaseSum([(Fraction(1, 4), 1), (0, 2)])
     t = PhaseSum([(Fraction(1, 4), 3)])
-    assert (s + t).multiplicity(PhaseQ(Fraction(1, 4))) == 4
-    shifted = s.shift(PhaseQ(Fraction(1, 4)))
-    assert shifted == PhaseSum([(Fraction(1, 2), 1), (Fraction(1, 4), 2)])
-    conj = s.conjugate()
-    assert conj == PhaseSum([(Fraction(3, 4), 1), (0, 2)])
-    assert s.conjugate().conjugate() == s
+    assert s + t == PhaseSum([(Fraction(1, 4), 4), (0, 2)])
 
 
 def test_phase_sum_lookup_reads_phases_as_the_constructor_does():
     s = z_cs(lens(5, 1), 1)
-    assert Fraction(1, 5) in s and s.multiplicity(Fraction(1, 5)) == 2
-    assert Fraction(6, 5) in s and s.multiplicity(Fraction(-4, 5)) == 2
-    assert 0 in s and 3 in s and s.multiplicity(0) == 1
-    assert Fraction(1, 3) not in s and s.multiplicity(Fraction(1, 3)) == 0
-    assert Fraction(2, 5) not in s and s.multiplicity(Fraction(2, 5)) == 0
-    assert Fraction(1, 2) not in PhaseSum() and PhaseSum().multiplicity(Fraction(1, 2)) == 0
+    assert s.to_mapping() == {"0/1": 1, "1/5": 2, "4/5": 2}
+    assert Fraction(1, 5) in s and Fraction(6, 5) in s and Fraction(-1, 5) in s
+    assert 0 in s and 3 in s and PhaseQ(0) in s
+    assert Fraction(1, 3) not in s and Fraction(2, 5) not in s
+    assert Fraction(1, 2) not in PhaseSum()
 
 
 def test_phase_sum_product_pinned():
@@ -124,11 +118,6 @@ def test_phase_sum_product_pinned():
     u = PhaseSum([(Fraction(1, 4), 1)])
     assert u * PhaseSum([(Fraction(3, 4), 5)]) == PhaseSum({PhaseQ(0): 5})
     assert s * PhaseSum() == PhaseSum() == PhaseSum() * s
-
-
-def test_phase_sum_from_phases():
-    s = PhaseSum.from_phases([PhaseQ(0), PhaseQ(0), PhaseQ(Fraction(1, 2))])
-    assert s.to_mapping() == {"0/1": 2, "1/2": 1}
 
 
 def test_phase_sum_immutable():
@@ -306,9 +295,7 @@ def test_z_cs_term_values_match_literal_loop():
 
     G = random_splitting(2, 3, 6)
     k = 3
-    expected = PhaseSum.from_phases(
-        [linking_form(G, t, t) * (-k) for t in torsion_elements(G)]
-    )
+    expected = PhaseSum(Counter(linking_form(G, t, t) * (-k) for t in torsion_elements(G)))
     assert fresh(G, k, z_cs) == expected
 
 
@@ -878,7 +865,7 @@ def handlebody_move(data, g) -> IntMatrix:
             sym[i][j] = sym[j][i] = data.draw(st.integers(-3, 3))
     A, Ainv_t, sym = (IntMatrix.from_rows(m) for m in (A, Ainv, sym))
     Ainv_t = Ainv_t.transpose()
-    return blocks_to_matrix(A, IntMatrix.zeros(g, g), Ainv_t @ sym, Ainv_t)
+    return blocks_to_matrix(A, IntMatrix(g, g, [0] * (g * g)), Ainv_t @ sym, Ainv_t)
 
 
 def jordan_scale_ranks(G) -> Counter:
@@ -1086,7 +1073,7 @@ def assert_z_cs_matches_literal_loop(G, levels):
     G = GluingData(G.R, G.P, G.S, G.Q)
     gammas = [linking_form(G, t, t) for t in torsion_elements(G)]
     for k in levels:
-        assert z_cs(G, k) == PhaseSum.from_phases(g * (-k) for g in gammas)
+        assert z_cs(G, k) == PhaseSum(Counter(g * (-k) for g in gammas))
 
 
 def test_z_cs_matches_literal_loop_on_lens_spaces():
@@ -1194,14 +1181,12 @@ def assert_matches_model(S, model):
     assert S == PhaseSum(dict(model)) and hash(S) == hash(PhaseSum(dict(model)))
 
 
-@given(phase_terms, phase_terms, rationals, st.lists(rationals, max_size=6))
-def test_phase_sum_agrees_with_counter_model(a, b, s, probes):
+@given(phase_terms, phase_terms, st.lists(rationals, max_size=6))
+def test_phase_sum_agrees_with_counter_model(a, b, probes):
     A, B = PhaseSum(a), PhaseSum(b)
     ma, mb = counter_model(a), counter_model(b)
     assert_matches_model(A, ma)
     assert_matches_model(A + B, ma + mb)
-    assert_matches_model(A.shift(PhaseQ(s)), Counter({frac_mod1(v + s): m for v, m in ma.items()}))
-    assert_matches_model(A.conjugate(), Counter({frac_mod1(-v): m for v, m in ma.items()}))
     product_model = Counter()
     for v, m in ma.items():
         for w, n in mb.items():
@@ -1209,7 +1194,6 @@ def test_phase_sum_agrees_with_counter_model(a, b, s, probes):
     assert_matches_model(A * B, product_model)
     for x in probes + [v for v, _ in a]:
         for probe in (PhaseQ(x), x):
-            assert A.multiplicity(probe) == ma[frac_mod1(x)]
             assert (probe in A) == (frac_mod1(x) in ma)
 
 
@@ -1240,7 +1224,7 @@ def test_eval_numeric_order_free_and_accurate(terms, rng):
         singles = PhaseSum()
         for x, mult in shuffled:
             singles = singles + PhaseSum({PhaseQ(x): mult})
-        for T in (PhaseSum.from_phases(phases), PhaseSum(dict(Counter(phases))), singles):
+        for T in (PhaseSum(Counter(phases)), singles):
             assert T == S
             assert repr(eval_numeric(T)) == repr(value)
     direct = sum(cmath.exp(2j * pi * float(ph.value)) for ph in phases)
