@@ -10,7 +10,6 @@ brute-force oracles for the closed-form claims.
 from .exact import (
     IntMatrix,
     PhaseQ,
-    RationalQ,
     frac_mod1,
     vec_dot,
 )
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "IntMatrix",
     "PhaseQ",
-    "RationalQ",
     "frac_mod1",
     "vec_dot",
     "FiniteDBClass",

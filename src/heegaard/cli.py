@@ -32,7 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .exact import IntMatrix, _smith_eliminate, vec_dot
+from .exact import _smith_eliminate, vec_dot
 from .homology import curvature_lattice_basis, homology_profile
 from .linking import linking_matrix
 from .partition import (
@@ -284,7 +284,7 @@ def _free_pairing_degenerate(G) -> bool:
     if not free:
         return False
     curv = curvature_lattice_basis(G)
-    D, _ = _smith_eliminate(IntMatrix.from_rows([[vec_dot(f, m) for m in curv] for f in free]))
+    D, _ = _smith_eliminate([[vec_dot(f, m) for m in curv] for f in free])
     return not all(D[t][t] for t in range(len(D)))
 
 

@@ -8,12 +8,8 @@ in Q/Z with a canonical reduced representative in [0, 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, attrgetter, index, mul, sub
+from operator import attrgetter, index, mul
 from typing import Iterable, Sequence
-
-# Exact rational scalar used throughout the package.  Always stored in
-# lowest terms with a positive denominator, which Fraction guarantees.
-RationalQ = Fraction
 
 
 def _rational(x: int | Fraction) -> Fraction:
@@ -95,27 +91,16 @@ def _rebuild(cls, values):
 class IntMatrix(Frozen):
     """Immutable integer matrix, entries row-major, arbitrary precision.
 
-    Supports the small exact-linear-algebra vocabulary the rest of the
-    package needs: products, transpose, application to rational vectors.
-    The public constructors check their dimensions and entries with
+    Storage for the gluing blocks: entries, rows, columns and application
+    to a rational vector, with no products; the block relations are read
+    from rows and columns directly.  from_rows checks its entries with
     operator.index, so an int or bool is taken and a float, Fraction or
-    Decimal is refused with TypeError rather than truncated.  Results
-    built inside this module from entries that are already ints go
+    Decimal is refused with TypeError rather than truncated.  Blocks
+    built inside the package from entries that are already ints go
     through the trusted _of.
     """
 
     __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        rows, cols = index(rows), index(cols)
-        ent = tuple(map(index, entries))
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(ent) != rows * cols:
-            raise ValueError(
-                f"entry count {len(ent)} does not equal rows*cols = {rows * cols}"
-            )
-        self._init(rows, cols, ent)
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
@@ -127,8 +112,6 @@ class IntMatrix(Frozen):
         set_entries(self, entries)
         return self
 
-    # ----- constructors -------------------------------------------------
-
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
         """Build from an iterable of equal-length row iterables."""
@@ -138,12 +121,6 @@ class IntMatrix(Frozen):
         if any(len(r) != n for r in mat):
             raise ValueError("ragged rows")
         return cls._of(m, n, tuple(e for row in mat for e in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    # ----- access -------------------------------------------------------
 
     def __getitem__(self, key) -> int:
         i, j = key
@@ -160,52 +137,12 @@ class IntMatrix(Frozen):
     def to_rows(self) -> tuple:
         return tuple(self.row(i) for i in range(self.rows))
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    # ----- algebra ------------------------------------------------------
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(
-            self.cols, self.rows, tuple(e for j in range(self.cols) for e in self.col(j))
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        cols = [other.col(j) for j in range(other.cols)]
-        return IntMatrix._of(
-            self.rows,
-            other.cols,
-            tuple(sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols),
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return IntMatrix._of(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} - {other.shape}")
-        return IntMatrix._of(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of(self.rows, self.cols, tuple(-a for a in self.entries))
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product; vec entries may be int or Fraction."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
         n, e = self.cols, self.entries
         return tuple([sum(map(mul, e[i * n : i * n + n], vec)) for i in range(self.rows)])
-
-    @property
-    def shape(self) -> tuple:
-        return (self.rows, self.cols)
-
-    # ----- protocol -----------------------------------------------------
 
     def __repr__(self) -> str:
         return f"IntMatrix({list(list(r) for r in self.to_rows())!r})"
@@ -265,8 +202,9 @@ class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
-def _smith_eliminate(A: IntMatrix) -> tuple:
-    """Rows of the Smith form D of A, and the column operations that made it.
+def _smith_eliminate(rows: Sequence[Sequence[int]]) -> tuple:
+    """Rows of the Smith form D of the integer matrix with these rows, A,
+    and the column operations that made it.
 
     Stage t moves to (t, t) the smallest nonzero entry of row t and
     column t (of the whole trailing block only when both are zero), then
@@ -281,8 +219,8 @@ def _smith_eliminate(A: IntMatrix) -> tuple:
     (j, t, c) for col j += c * col t, so that D = U^-1 @ A @ V^-1 with
     V^-1 the log applied to the identity (_replay_columns).
     """
-    m, n = A.rows, A.cols
-    work = [list(A.row(i)) for i in range(m)]
+    work = [list(row) for row in rows]
+    m, n = len(work), len(work[0]) if work else 0
     log = []
     for t in range(min(m, n)):
         while True:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 
-from .exact import Frozen, PhaseQ, RationalQ, _rational, vec_dot
+from .exact import Frozen, PhaseQ, _rational, vec_dot
 from .homology import TorsionRep
 from .linking import linking_form
 from .partition import _check_level
@@ -34,7 +34,7 @@ class FiniteDBClass(Frozen):
         theta_f=None,
         theta_t=None,
         holonomy=None,
-        smooth_self: RationalQ = 0,
+        smooth_self: int | Fraction = 0,
     ):
         g = G.genus
         m = tuple(map(index, m if m is not None else [0] * g))
@@ -46,7 +46,7 @@ class FiniteDBClass(Frozen):
             theta_t = TorsionRep(theta_t)
         if len(m) != g or len(theta_f) != g or len(holonomy) != g or len(theta_t) != g:
             raise ValueError(f"sector constraint violation: sectors must have length {g}")
-        if any(x != 0 for x in G.P.transpose().apply(m)):
+        if any(vec_dot(G.P.col(j), m) for j in range(g)):
             raise ValueError("sector constraint violation: m is not annihilated by P†")
         if any(x != 0 for x in G.P.apply(theta_f)):
             raise ValueError("sector constraint violation: theta_f is not a free flat mode")
@@ -100,7 +100,7 @@ def bf_action(
     A: FiniteDBClass,
     B: FiniteDBClass,
     k: int,
-    cross: RationalQ = 0,
+    cross: int | Fraction = 0,
 ) -> PhaseQ:
     """BF action mod 1 at level k; cross is the smooth-sector cross scalar.
 
@@ -122,7 +122,9 @@ def bf_action(
     return PhaseQ(val)
 
 
-def db_pair(G: GluingData, A: FiniteDBClass, B: FiniteDBClass, cross: RationalQ = None) -> PhaseQ:
+def db_pair(
+    G: GluingData, A: FiniteDBClass, B: FiniteDBClass, cross: int | Fraction | None = None
+) -> PhaseQ:
     """The pairing of two classes mod 1, sector by sector.
 
     Nonzero contributions: curvature against the flat part of the other

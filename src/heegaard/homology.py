@@ -90,7 +90,7 @@ def homology_profile(G: GluingData) -> HomologyProfile:
     V^-1 would reach tens of thousands of bits at genus 40.
     """
     g = G.genus
-    work, log = _smith_eliminate(G.P)
+    work, log = _smith_eliminate(G.P.to_rows())
     diag = [row[i] for i, row in enumerate(work)]
     rank = g - diag.count(0)
     factors = tuple([d for d in diag if d > 1])

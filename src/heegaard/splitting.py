@@ -55,7 +55,7 @@ def _coerce_blocks(r, p, s, q) -> tuple:
     blocks = tuple(_as_block(x, n) for x, n in zip((r, p, s, q), "RPSQ"))
     g = blocks[0].rows
     for b, n in zip(blocks, "RPSQ"):
-        if not b.is_square or b.rows != g:
+        if b.rows != g or b.cols != g:
             raise ValidationError(
                 [f"dimension mismatch: block {n} is {b.rows}x{b.cols}, expected {g}x{g}"]
             )
@@ -64,11 +64,15 @@ def _coerce_blocks(r, p, s, q) -> tuple:
     return blocks
 
 
-def _fmt(m: IntMatrix) -> str:
+def _fmt(m: list) -> str:
     try:  # str() refuses ints past the interpreter's digit limit
-        return str(m[0, 0]) if m.shape == (1, 1) else str([list(row) for row in m.to_rows()])
+        return str(m[0][0]) if len(m) == 1 else str(m)
     except ValueError:
         return "<entries too long to print>"
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
 
 def _anti_symplectic(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> bool:
@@ -79,11 +83,17 @@ def _anti_symplectic(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> 
     """
     g = R.rows
     r, p, s, q = ([A.col(j) for j in range(g)] for A in (R, P, S, Q))
-    dot = lambda u, v: sum(map(mul, u, v))
+    dot = _dot
     return all(
         dot(q[i], p[j]) == dot(q[j], p[i]) and dot(s[i], r[j]) == dot(s[j], r[i])
         for i in range(g) for j in range(i)
     ) and all(dot(p[i], s[j]) - dot(q[i], r[j]) == (i == j) for i in range(g) for j in range(g))
+
+
+def _product(a, b) -> list:
+    """Rows of the matrix whose entry (i, j) is a[i]·b[j]: A†B when a and b
+    are the columns of A and B, AB† when they are their rows."""
+    return [[_dot(u, v) for v in b] for u in a]
 
 
 def block_relation_violations(r, p, s, q) -> list:
@@ -93,25 +103,29 @@ def block_relation_violations(r, p, s, q) -> list:
     against the identity), so a report can show exactly what failed.
     The first three relations are M†JM = −J, which implies the other
     three (see the module docstring), so blocks that satisfy them give []
-    from those alone.  Otherwise all six are evaluated: a symmetric
+    from those alone.  Otherwise all six are evaluated from the blocks'
+    columns (the A†B products) and rows (the AB† products): a symmetric
     relation X = X† takes the one product X, eight products in all.
     """
     R, P, S, Q = _coerce_blocks(r, p, s, q)
     if _anti_symplectic(R, P, S, Q):
         return []
-    I = IntMatrix.identity(R.rows)
-    Rt, Pt, St, Qt = (b.transpose() for b in (R, P, S, Q))
+    g = R.rows
+    rc, pc, sc, qc = ([A.col(j) for j in range(g)] for A in (R, P, S, Q))
+    rr, pr, sr, qr = (A.to_rows() for A in (R, P, S, Q))
+    minus = lambda X, Y: [[x - y for x, y in zip(u, v)] for u, v in zip(X, Y)]
+    one = [[int(i == j) for j in range(g)] for i in range(g)]
     out = []
     # (left side, its value X, right side): the name of X†, or None for X = 1
     for a, X, b in (
-        ("Q†P", Qt @ P, "P†Q"),
-        ("P†S − Q†R", Pt @ S - Qt @ R, None),
-        ("S†R", St @ R, "R†S"),
-        ("RP†", R @ Pt, "PR†"),
-        ("SP† − QR†", S @ Pt - Q @ Rt, None),
-        ("SQ†", S @ Qt, "QS†"),
+        ("Q†P", _product(qc, pc), "P†Q"),
+        ("P†S − Q†R", minus(_product(pc, sc), _product(qc, rc)), None),
+        ("S†R", _product(sc, rc), "R†S"),
+        ("RP†", _product(rr, pr), "PR†"),
+        ("SP† − QR†", minus(_product(sr, pr), _product(qr, rr)), None),
+        ("SQ†", _product(sr, qr), "QS†"),
     ):
-        rhs = I if b is None else X.transpose()
+        rhs = one if b is None else [list(c) for c in zip(*X)]
         if X != rhs:
             out.append(f"{a} = {_fmt(X)} ≠ " + ("1" if b is None else f"{_fmt(rhs)} = {b}"))
     return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from heegaard import IntMatrix, homology_profile, random_splitting
+from heegaard import homology_profile, random_splitting
 from heegaard.exact import _replay_columns, _smith_eliminate
 
 settings.register_profile(
@@ -50,9 +50,9 @@ def smith_form(rows):
     column operations with no modulus, where the pipeline replays only
     the columns it keeps.
     """
-    A = IntMatrix.from_rows(rows)
-    D, log = _smith_eliminate(A)
-    return D, _replay_columns(log, A.cols, 0, A.cols)
+    D, log = _smith_eliminate(rows)
+    n = len(rows[0])
+    return D, _replay_columns(log, n, 0, n)
 
 
 def diagonal(D):
@@ -65,19 +65,28 @@ def free_flat_basis(G):
     return [tuple(map(Fraction, c)) for c in homology_profile(G).kernel_columns]
 
 
+def matmul(A, B):
+    """The product of two matrices given as lists of rows."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def transpose(A):
+    """The transpose of a matrix given as a list of rows."""
+    return [list(col) for col in zip(*A)]
+
+
 def blocks_to_matrix(R, P, S, Q):
-    """The 2g × 2g IntMatrix [[R, P], [S, Q]] of four g × g blocks."""
-    top = [r + p for r, p in zip(R.to_rows(), P.to_rows())]
-    return IntMatrix.from_rows(top + [s + q for s, q in zip(S.to_rows(), Q.to_rows())])
+    """The rows of the 2g × 2g matrix [[R, P], [S, Q]] of four g × g blocks given as rows."""
+    return [list(r) + list(p) for r, p in zip(R, P)] + [list(s) + list(q) for s, q in zip(S, Q)]
 
 
 def matrix_to_blocks(M):
-    """The four g × g blocks R, P, S, Q of a 2g × 2g IntMatrix."""
-    g, rows = M.rows // 2, M.to_rows()
-    block = lambda r0, c0: IntMatrix.from_rows(row[c0 : c0 + g] for row in rows[r0 : r0 + g])
+    """The rows of the four g × g blocks R, P, S, Q of a 2g × 2g matrix given as rows."""
+    g = len(M) // 2
+    block = lambda r0, c0: [list(row[c0 : c0 + g]) for row in M[r0 : r0 + g]]
     return block(0, 0), block(0, g), block(g, 0), block(g, g)
 
 
 def gluing_matrix(G):
-    """The 2g × 2g gluing matrix [[R, P], [S, Q]] of a splitting."""
-    return blocks_to_matrix(G.R, G.P, G.S, G.Q)
+    """The rows of the 2g × 2g gluing matrix [[R, P], [S, Q]] of a splitting."""
+    return blocks_to_matrix(*(b.to_rows() for b in (G.R, G.P, G.S, G.Q)))

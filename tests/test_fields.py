@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heegaard.exact import IntMatrix, PhaseQ
+from heegaard.exact import PhaseQ
 from heegaard.fields import (
     FiniteDBClass,
     bf_action,
@@ -23,7 +23,7 @@ from heegaard.splitting import (
     lens,
     random_splitting,
 )
-from conftest import blocks_to_matrix, free_flat_basis, gluing_matrix, matrix_to_blocks
+from conftest import blocks_to_matrix, free_flat_basis, gluing_matrix, matmul, matrix_to_blocks
 
 splitting_params = st.tuples(
     st.integers(1, 3), st.integers(0, 120), st.sampled_from([0, 3, 6, 10, 15])
@@ -171,10 +171,9 @@ def test_db_pair_pinned_curvature_against_torsion():
     # genus-2 gluing whose 3-torsion sits in the first coordinate: take the
     # block sum of lens(3,1) and lens(0,1) and swap the two handles
     base = connected_sum(lens(3, 1), lens(0, 1))
-    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    zero = IntMatrix(2, 2, [0] * 4)
+    swap, zero = [[0, 1], [1, 0]], [[0, 0], [0, 0]]
     W = blocks_to_matrix(swap, zero, zero, swap)
-    G = GluingData(*matrix_to_blocks(W @ gluing_matrix(base)))
+    G = GluingData(*matrix_to_blocks(matmul(W, gluing_matrix(base))))
     assert G.P.to_rows() == ((0, 0), (3, 0))
     A = FiniteDBClass(G, m=[1, 0])
     B = FiniteDBClass(G, theta_t=[Fraction(1, 3), Fraction(0)])

@@ -24,7 +24,6 @@ def test_public_names():
     assert heegaard.__all__ == [
         "IntMatrix",
         "PhaseQ",
-        "RationalQ",
         "frac_mod1",
         "vec_dot",
         "FiniteDBClass",
@@ -150,11 +149,12 @@ def test_console_script_runs_the_cli(monkeypatch, capsys):
 
 
 S1xS2 = lens(0, 1)
+BLOCK = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
 # each entry point with one integer argument replaced by x, and an int it takes
 INTEGER_ARGUMENTS = {
-    "IntMatrix-rows": (lambda x: IntMatrix(x, 1, [7] * int(x)), 1),
-    "IntMatrix-cols": (lambda x: IntMatrix(1, x, [7] * int(x)), 2),
+    "IntMatrix-rows": (lambda x: BLOCK.row(x), 1),
+    "IntMatrix-cols": (lambda x: BLOCK.col(x), 2),
     "lens-p": (lambda x: lens(x, 2), 5),
     "lens-q": (lambda x: lens(5, x), 2),
     "gauss_sum_oracle-p": (lambda x: gauss_sum_oracle(x, 2, 1), 5),

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import heegaard.splitting as splitting
-from heegaard.exact import IntMatrix
 from heegaard.splitting import (
     GluingData,
     ValidationError,
@@ -20,7 +20,7 @@ from heegaard.splitting import (
     stabilize,
     validate,
 )
-from conftest import blocks_to_matrix, gluing_matrix, matrix_to_blocks
+from conftest import blocks_to_matrix, gluing_matrix, matmul, matrix_to_blocks, transpose
 from oracle_helpers import det_laplace, plain_anti_symplectic, two_sided_relation_violations
 
 splitting_params = st.tuples(
@@ -86,7 +86,7 @@ def test_gluing_data_immutable_hashable():
     assert a == b and hash(a) == hash(b)
     assert a != lens(5, 2)
     with pytest.raises(AttributeError):
-        a.R = IntMatrix.identity(1)
+        a.R = a.P
 
 
 @given(splitting_params)
@@ -124,9 +124,9 @@ def test_perturbed_samples_agree_across_checkers(params, block, i, j, delta):
     target = {"R": r, "P": p, "S": s, "Q": q}[block]
     g = len(target)
     target[i % g][j % g] += delta
-    ok_relations = not block_relation_violations(r, p, s, q)
-    assert ok_relations == (not two_sided_relation_violations(r, p, s, q))
-    assert ok_relations == plain_anti_symplectic(r, p, s, q)
+    violations = block_relation_violations(r, p, s, q)
+    assert violations == two_sided_relation_violations(r, p, s, q)
+    assert (violations == []) == plain_anti_symplectic(r, p, s, q)
 
 
 @st.composite
@@ -163,6 +163,21 @@ def test_violations_match_two_sided_evaluation(blocks):
     assert block_relation_violations(*blocks) == two_sided_relation_violations(*blocks)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before 3.11")
+def test_violation_past_the_digit_limit_is_named_without_its_entries():
+    # str() refuses an int past the limit; the line still names the relation
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        lines = block_relation_violations([[1]], [[0]], [[0]], [[10**2000]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert lines == [
+        "P†S − Q†R = <entries too long to print> ≠ 1",
+        "SP† − QR† = <entries too long to print> ≠ 1",
+    ]
+
+
 @given(candidate_blocks())
 @example(([[0, 0], [0, 0]], _I, _I, [[0, 0], [0, 0]]))
 def test_first_three_relations_decide_validity(blocks):
@@ -171,18 +186,20 @@ def test_first_three_relations_decide_validity(blocks):
     first_three = not [v for v in violations if v.startswith(("Q†P", "P†S", "S†R"))]
     assert first_three == plain_anti_symplectic(*blocks) == (violations == [])
     assert splitting._anti_symplectic(*splitting._coerce_blocks(*blocks)) == first_three
+    assert block_relation_violations(*blocks) == violations
 
 
 def products_of_validation(monkeypatch, blocks) -> list:
-    """The (left, right) operand pairs of every IntMatrix product that validating blocks takes."""
+    """The (left, right) operands of every block product that validating blocks takes,
+    each the list of the rows or columns whose dot products make the product."""
     calls = []
-    matmul = IntMatrix.__matmul__
+    product = splitting._product
 
     def counted(a, b):
-        calls.append((a, b))
-        return matmul(a, b)
+        calls.append((list(a), list(b)))
+        return product(a, b)
 
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    monkeypatch.setattr(splitting, "_product", counted)
     try:
         GluingData(*blocks)
     except ValidationError:
@@ -193,7 +210,7 @@ def products_of_validation(monkeypatch, blocks) -> list:
 
 def test_valid_splitting_is_accepted_on_the_first_three_relations(monkeypatch):
     G = random_splitting(3, 0, 15)
-    assert G.genus == 3 and G.P != IntMatrix.identity(3)
+    assert G.genus == 3 and G.P.to_rows() != ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     # no product at all, so in particular not RP†, SP† − QR† or SQ†
     assert products_of_validation(monkeypatch, blocks_of(G)) == []
 
@@ -201,17 +218,19 @@ def test_valid_splitting_is_accepted_on_the_first_three_relations(monkeypatch):
 def test_invalid_splitting_evaluates_all_six_relations(monkeypatch):
     blocks = blocks_of(random_splitting(3, 0, 15))
     blocks[3][1][2] += 1
-    R, P, S, Q = (IntMatrix.from_rows(b) for b in blocks)
+    # A†B dots the columns of A and B, AB† their rows
+    R, P, S, Q = ([tuple(r) for r in b] for b in blocks)
+    Rc, Pc, Sc, Qc = ([tuple(c) for c in transpose(b)] for b in blocks)
     calls = products_of_validation(monkeypatch, blocks)
     assert calls == [
-        (Q.transpose(), P),
-        (P.transpose(), S),
-        (Q.transpose(), R),
-        (S.transpose(), R),
-        (R, P.transpose()),
-        (S, P.transpose()),
-        (Q, R.transpose()),
-        (S, Q.transpose()),
+        (Qc, Pc),
+        (Pc, Sc),
+        (Qc, Rc),
+        (Sc, Rc),
+        (R, P),
+        (S, P),
+        (Q, R),
+        (S, Q),
     ]
     assert block_relation_violations(*blocks) == two_sided_relation_violations(*blocks)
 
@@ -219,24 +238,26 @@ def test_invalid_splitting_evaluates_all_six_relations(monkeypatch):
 @given(splitting_params)
 def test_valid_determinant_sign(params):
     G = random_splitting(*params)
-    assert det_laplace(gluing_matrix(G).to_rows()) == (-1) ** G.genus
+    assert det_laplace(gluing_matrix(G)) == (-1) ** G.genus
 
 
 @given(splitting_params)
 def test_matrix_inverse_closed_form(params):
     G = random_splitting(*params)
-    ident = IntMatrix.identity(2 * G.genus)
-    inverse = blocks_to_matrix(-G.Q.transpose(), G.P.transpose(), G.S.transpose(), -G.R.transpose())
+    n = 2 * G.genus
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    R, P, S, Q = (transpose(b.to_rows()) for b in (G.R, G.P, G.S, G.Q))
+    negative = lambda A: [[-x for x in row] for row in A]
+    inverse = blocks_to_matrix(negative(Q), P, S, negative(R))
     M = gluing_matrix(G)
-    assert M @ inverse == ident
-    assert inverse @ M == ident
+    assert matmul(M, inverse) == ident
+    assert matmul(inverse, M) == ident
 
 
 def test_block_matrix_roundtrip():
     G = random_splitting(2, 5, 6)
-    M = blocks_to_matrix(G.R, G.P, G.S, G.Q)
-    r, p, s, q = matrix_to_blocks(M)
-    assert (r, p, s, q) == (G.R, G.P, G.S, G.Q)
+    blocks = blocks_of(G)
+    assert matrix_to_blocks(blocks_to_matrix(*blocks)) == blocks
 
 
 # ------------------------------------------------------------------- lens
@@ -354,26 +375,28 @@ def test_random_splitting_seed_sensitivity():
 
 def test_random_splitting_word_length_zero_is_standard():
     G = random_splitting(3, 0, 0)
-    z = IntMatrix(3, 3, [0] * 9)
-    i = IntMatrix.identity(3)
-    assert (G.R, G.P, G.S, G.Q) == (z, i, i, z)
+    z = [[0] * 3 for _ in range(3)]
+    i = [[int(a == b) for b in range(3)] for a in range(3)]
+    assert blocks_of(G) == (z, i, i, z)
 
 
 def literal_word_blocks(genus, seed, word_length):
     """random_splitting's recipe with each transvection as a full 2g × 2g product."""
     n = 2 * genus
     rng = random.Random(f"heegaard:{genus}:{seed}:{word_length}")
-    z, i = IntMatrix(genus, genus, [0] * (genus * genus)), IntMatrix.identity(genus)
-    J = blocks_to_matrix(z, i, -i, z)
+    identity = lambda m: [[int(a == b) for b in range(m)] for a in range(m)]
+    z, i = [[0] * genus for _ in range(genus)], identity(genus)
+    J = blocks_to_matrix(z, i, [[-x for x in row] for row in i], z)
     vecs = splitting._transvection_vectors(genus)
-    W = IntMatrix.identity(n)
+    W = identity(n)
     for _ in range(word_length):
         ones = vecs[rng.randrange(len(vecs))]
         c = rng.choice((1, -1))
-        col = IntMatrix(n, 1, [int(j in ones) for j in range(n)])
-        scaled = IntMatrix(n, 1, [c * int(j in ones) for j in range(n)])
-        W = W @ (IntMatrix.identity(n) + scaled @ (col.transpose() @ J))
-    return matrix_to_blocks(blocks_to_matrix(z, i, i, z) @ W)
+        col = [[int(j in ones)] for j in range(n)]
+        scaled = [[c * int(j in ones)] for j in range(n)]
+        outer = matmul(scaled, matmul(transpose(col), J))
+        W = matmul(W, [[a + b for a, b in zip(u, v)] for u, v in zip(identity(n), outer)])
+    return matrix_to_blocks(matmul(blocks_to_matrix(z, i, i, z), W))
 
 
 def test_random_splitting_matches_literal_word_product():
@@ -381,7 +404,7 @@ def test_random_splitting_matches_literal_word_product():
         for seed in range(21):
             for length in (0, 4, 12, 44):
                 G = random_splitting(genus, seed, length)
-                assert (G.R, G.P, G.S, G.Q) == literal_word_blocks(genus, seed, length)
+                assert blocks_of(G) == literal_word_blocks(genus, seed, length)
 
 
 @given(splitting_params)
