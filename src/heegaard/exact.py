@@ -89,63 +89,60 @@ def _rebuild(cls, values):
 
 
 class IntMatrix(Frozen):
-    """Immutable integer matrix, entries row-major, arbitrary precision.
+    """Immutable integer matrix, held as a tuple of row tuples.
 
     Storage for the gluing blocks: entries, rows, columns and application
     to a rational vector, with no products; the block relations are read
     from rows and columns directly.  from_rows checks its entries with
     operator.index, so an int or bool is taken and a float, Fraction or
     Decimal is refused with TypeError rather than truncated.  Blocks
-    built inside the package from entries that are already ints go
-    through the trusted _of.
+    built inside the package from rows of ints go through the trusted _of.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_rows")
 
     @classmethod
-    def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
-        """Trusted constructor: entries is a tuple of rows*cols ints."""
+    def _of(cls, rows: tuple) -> "IntMatrix":
+        """Trusted constructor: rows is a tuple of equal-length tuples of ints."""
         self = object.__new__(cls)
-        set_rows, set_cols, set_entries = cls._setters
-        set_rows(self, rows)
-        set_cols(self, cols)
-        set_entries(self, entries)
+        set_rows, set_cols, set_data = cls._setters
+        set_rows(self, len(rows))
+        set_cols(self, len(rows[0]) if rows else 0)
+        set_data(self, rows)
         return self
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
         """Build from an iterable of equal-length row iterables."""
-        mat = [tuple(map(index, row)) for row in rows]
-        m = len(mat)
+        mat = tuple([tuple(map(index, row)) for row in rows])
         n = len(mat[0]) if mat else 0
         if any(len(r) != n for r in mat):
             raise ValueError("ragged rows")
-        return cls._of(m, n, tuple(e for row in mat for e in row))
+        return cls._of(mat)
 
     def __getitem__(self, key) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return self._rows[i][j]
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self._rows[i]
 
     def col(self, j: int) -> tuple:
-        return self.entries[j :: self.cols]
+        return tuple([r[j] for r in self._rows])
 
     def to_rows(self) -> tuple:
-        return tuple(self.row(i) for i in range(self.rows))
+        return self._rows
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product; vec entries may be int or Fraction."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
-        n, e = self.cols, self.entries
-        return tuple([sum(map(mul, e[i * n : i * n + n], vec)) for i in range(self.rows)])
+        return tuple([sum(map(mul, r, vec)) for r in self._rows])
 
     def __repr__(self) -> str:
-        return f"IntMatrix({list(list(r) for r in self.to_rows())!r})"
+        return f"IntMatrix({[list(r) for r in self._rows]!r})"
 
 
 class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
@@ -180,20 +177,6 @@ class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):
 
     def __add__(self, other: "PhaseQ") -> "PhaseQ":
         return PhaseQ(self.value + other.value)
-
-    def __neg__(self) -> "PhaseQ":
-        return PhaseQ(-self.value)
-
-    def __sub__(self, other: "PhaseQ") -> "PhaseQ":
-        return PhaseQ(self.value - other.value)
-
-    def __mul__(self, k: int | Fraction) -> "PhaseQ":
-        return PhaseQ(self.value * _rational(k))
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other: "PhaseQ") -> bool:
-        return self.value < other.value
 
     def __repr__(self) -> str:
         return f"PhaseQ({self.value})"

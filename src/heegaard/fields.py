@@ -81,18 +81,10 @@ def _check_consistent(G: GluingData, A: FiniteDBClass, name: str):
 def cs_action(G: GluingData, A: FiniteDBClass, k: int) -> PhaseQ:
     """Chern-Simons action mod 1 at level k.
 
-    k·smooth_self + 2k<m, holonomy> − 2k<theta_f, m> − k·Gamma(theta_t, theta_t).
+    k·smooth_self + 2k<m, holonomy> − 2k<theta_f, m> − k·Gamma(theta_t, theta_t),
+    which is bf_action with B = A and cross = smooth_self, term by term.
     """
-    _check_level(k)
-    _check_consistent(G, A, "A")
-    gamma = linking_form(G, A.theta_t, A.theta_t).value
-    val = (
-        k * A.smooth_self
-        + 2 * k * vec_dot(A.m, A.holonomy)
-        - 2 * k * vec_dot(A.theta_f, A.m)
-        - k * gamma
-    )
-    return PhaseQ(val)
+    return bf_action(G, A, A, k, A.smooth_self)
 
 
 def bf_action(
@@ -102,11 +94,7 @@ def bf_action(
     k: int,
     cross: int | Fraction = 0,
 ) -> PhaseQ:
-    """BF action mod 1 at level k; cross is the smooth-sector cross scalar.
-
-    With B = A and cross = A.smooth_self this reproduces cs_action term by
-    term, which the tests assert.
-    """
+    """BF action mod 1 at level k; cross is the smooth-sector cross scalar."""
     _check_level(k)
     _check_consistent(G, A, "A")
     _check_consistent(G, B, "B")

@@ -70,9 +70,6 @@ class TorsionRep(Frozen):
     def __iter__(self):
         return iter(self.theta)
 
-    def __getitem__(self, i) -> Fraction:
-        return self.theta[i]
-
     def __repr__(self) -> str:
         return f"TorsionRep(({', '.join(str(x) for x in self.theta)}))"
 

@@ -35,9 +35,6 @@ class LinkingMatrix(Frozen):
 
     __slots__ = ("dims", "den", "num", "columns")
 
-    def __init__(self, dims, den: int, num, columns):
-        self._init(tuple(dims), den, tuple(map(tuple, num)), tuple(map(tuple, columns)))
-
     @classmethod
     def _trusted(cls, dims: tuple, den: int, num: tuple, columns: tuple) -> "LinkingMatrix":
         """Trusted constructor: every argument is already a tuple (of tuples)."""
@@ -69,7 +66,7 @@ def linking_form(G: GluingData, theta, vartheta) -> PhaseQ:
     Both arguments must satisfy the torsion constraint P·x integral;
     anything else is rejected, since the form is only defined there.
     """
-    vecs = []
+    checked = []
     for name, raw in (("theta", theta), ("vartheta", vartheta)):
         vec = tuple(map(_rational, raw))
         if len(vec) != G.genus:
@@ -77,9 +74,9 @@ def linking_form(G: GluingData, theta, vartheta) -> PhaseQ:
         image = G.P.apply(vec)
         if any(x.denominator != 1 for x in image):
             raise ValueError(f"{name} is not a torsion representative: P·{name} is not integral")
-        vecs.append(vec)
-    t, v = vecs
-    return PhaseQ(vec_dot(G.Q.apply(t), G.P.apply(v)))
+        checked.append((vec, image))
+    (t, _), (_, pv) = checked
+    return PhaseQ(vec_dot(G.Q.apply(t), pv))
 
 
 @per_manifold

@@ -60,7 +60,7 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
         for ph, mult in items:
-            value = _phase_value(ph)
+            value = ph.value if isinstance(ph, PhaseQ) else frac_mod1(ph)
             mult = index(mult)
             if mult < 0:
                 raise ValueError("multiplicities must be nonnegative")
@@ -98,16 +98,6 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
             (PhaseQ._wrap(Fraction(n, L)), self._counts[n]) for n in sorted(self._counts)
         )
 
-    def _numerator(self, phase):
-        """Numerator of phase over this sum's denominator, or None if it has none.
-
-        phase is read as the constructor reads it: a PhaseQ, or anything
-        frac_mod1 takes, such as a Fraction or an int.
-        """
-        value = _phase_value(phase)
-        q, rem = divmod(self._den, value.denominator)
-        return None if rem else value.numerator * q
-
     @property
     def total_terms(self) -> int:
         """Number of summands counted with multiplicity."""
@@ -115,20 +105,6 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    def __contains__(self, phase) -> bool:
-        return self._numerator(phase) in self._counts
-
-    def __add__(self, other: "PhaseSum") -> "PhaseSum":
-        # the lcm of two canonical denominators is canonical for the union
-        L = lcm(self._den, other._den)
-        merged = {}
-        for S in (self, other):
-            scale = L // S._den
-            for n, m in S._counts.items():
-                n *= scale
-                merged[n] = merged.get(n, 0) + m
-        return PhaseSum._from_counts(L, merged)
 
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
         """The product of the formal sums: one term α + β per pair of terms.
@@ -176,11 +152,6 @@ class PhaseSum(Frozen, compared=("_den", "_counts")):
     def __repr__(self) -> str:
         inner = ", ".join(f"{ph}: {m}" for ph, m in self.items())
         return f"PhaseSum({{{inner}}})"
-
-
-def _phase_value(ph) -> Fraction:
-    """The reduced fraction in [0, 1) of a PhaseQ, or of anything frac_mod1 takes."""
-    return ph.value if isinstance(ph, PhaseQ) else frac_mod1(ph)
 
 
 def eval_numeric(S: PhaseSum) -> complex:

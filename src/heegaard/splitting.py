@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from functools import wraps
-from itertools import chain
 from math import gcd
 from operator import add, index, mul, sub
 from typing import Iterable
@@ -79,10 +78,10 @@ def _anti_symplectic(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> 
     """Q†P = P†Q, S†R = R†S and P†S − Q†R = 1, which together are M†JM = −J.
 
     Entry (i, j) of A†B is column i of A dotted with column j of B, so the
-    four products are read off the columns with no transpose or temporary.
+    four products are read off the columns, with no product built.
     """
     g = R.rows
-    r, p, s, q = ([A.col(j) for j in range(g)] for A in (R, P, S, Q))
+    r, p, s, q = (list(zip(*A.to_rows())) for A in (R, P, S, Q))
     dot = _dot
     return all(
         dot(q[i], p[j]) == dot(q[j], p[i]) and dot(s[i], r[j]) == dot(s[j], r[i])
@@ -103,16 +102,20 @@ def block_relation_violations(r, p, s, q) -> list:
     against the identity), so a report can show exactly what failed.
     The first three relations are M†JM = −J, which implies the other
     three (see the module docstring), so blocks that satisfy them give []
-    from those alone.  Otherwise all six are evaluated from the blocks'
-    columns (the A†B products) and rows (the AB† products): a symmetric
-    relation X = X† takes the one product X, eight products in all.
+    from those alone (_anti_symplectic).  Otherwise all six are evaluated
+    (_violations).
     """
-    R, P, S, Q = _coerce_blocks(r, p, s, q)
-    if _anti_symplectic(R, P, S, Q):
-        return []
+    blocks = _coerce_blocks(r, p, s, q)
+    return [] if _anti_symplectic(*blocks) else _violations(*blocks)
+
+
+def _violations(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> list:
+    """The failure lines of the six relations, from the blocks' columns
+    (the A†B products) and rows (the AB† products): a symmetric relation
+    X = X† takes the one product X, eight products in all."""
     g = R.rows
-    rc, pc, sc, qc = ([A.col(j) for j in range(g)] for A in (R, P, S, Q))
     rr, pr, sr, qr = (A.to_rows() for A in (R, P, S, Q))
+    rc, pc, sc, qc = (list(zip(*A)) for A in (rr, pr, sr, qr))
     minus = lambda X, Y: [[x - y for x, y in zip(u, v)] for u, v in zip(X, Y)]
     one = [[int(i == j) for j in range(g)] for i in range(g)]
     out = []
@@ -131,25 +134,24 @@ def block_relation_violations(r, p, s, q) -> list:
     return out
 
 
-class GluingData(Frozen, compared=("genus", "R.entries", "P.entries", "S.entries", "Q.entries")):
+class GluingData(Frozen, compared=("genus", "R._rows", "P._rows", "S._rows", "Q._rows")):
     """Validated gluing blocks of a genus-g Heegaard splitting.
 
-    Construction checks the block relations (block_relation_violations)
-    and raises ValidationError otherwise, so every live instance is
-    valid.  Instances are immutable and hashable, for use as dict or set
-    keys, and compare the genus and the blocks' entries, whose shape the
-    genus fixes; invariants derived from them live on the instance
+    Construction checks the block relations (_anti_symplectic) and
+    raises ValidationError with the lines of block_relation_violations
+    otherwise, so every live instance is valid.  Instances are immutable
+    and hashable, for use as dict or set keys, and compare the genus and
+    the blocks' rows; invariants derived from them live on the instance
     (per_manifold), outside its value.
     """
 
     __slots__ = ("genus", "R", "P", "S", "Q", "_memo")
 
     def __init__(self, r, p, s, q):
-        R, P, S, Q = _coerce_blocks(r, p, s, q)
-        bad = block_relation_violations(R, P, S, Q)
-        if bad:
-            raise ValidationError(bad)
-        self._init(R.rows, R, P, S, Q, {})
+        blocks = _coerce_blocks(r, p, s, q)
+        if not _anti_symplectic(*blocks):
+            raise ValidationError(_violations(*blocks))
+        self._init(blocks[0].rows, *blocks, {})
 
     @classmethod
     def _trusted(cls, R, P, S, Q) -> "GluingData":
@@ -237,7 +239,7 @@ def lens(p: int, q: int) -> GluingData:
             [f"P†S − Q†R = {det} ≠ 1", f"SP† − QR† = {det} ≠ 1"]
         )
     of = IntMatrix._of
-    return GluingData._trusted(of(1, 1, (r,)), of(1, 1, (p,)), of(1, 1, (s,)), of(1, 1, (q,)))
+    return GluingData._trusted(of(((r,),)), of(((p,),)), of(((s,),)), of(((q,),)))
 
 
 def connected_sum(g1: GluingData, g2: GluingData) -> GluingData:
@@ -249,9 +251,9 @@ def connected_sum(g1: GluingData, g2: GluingData) -> GluingData:
 
     def diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         n1, n2 = a.rows, b.rows
-        rows = [list(a.row(i)) + [0] * n2 for i in range(n1)]
-        rows += [[0] * n1 + list(b.row(i)) for i in range(n2)]
-        return IntMatrix.from_rows(rows)
+        rows = [a.row(i) + (0,) * n2 for i in range(n1)]
+        rows += [(0,) * n1 + b.row(i) for i in range(n2)]
+        return IntMatrix._of(tuple(rows))
 
     return GluingData._trusted(
         diag(g1.R, g2.R), diag(g1.P, g2.P), diag(g1.S, g2.S), diag(g1.Q, g2.Q)
@@ -316,7 +318,5 @@ def random_splitting(genus: int, seed: int, word_length: int) -> GluingData:
             k, up = (j + g, c > 0) if j < g else (j - g, c < 0)
             W[k] = list(map(add if up else sub, W[k], wv))
     # M₀·W swaps the two row halves of W; zipping a block's columns gives its rows
-    block = lambda r0, c0: IntMatrix._of(
-        g, g, tuple(chain.from_iterable(zip(*(col[r0 : r0 + g] for col in W[c0 : c0 + g]))))
-    )
+    block = lambda r0, c0: IntMatrix._of(tuple(zip(*(col[r0 : r0 + g] for col in W[c0 : c0 + g]))))
     return GluingData._trusted(block(g, 0), block(g, g), block(0, 0), block(0, g))

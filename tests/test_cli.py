@@ -331,10 +331,8 @@ def test_reports_validate_each_input_once(capture, monkeypatch, tmp_path):
     path = tmp_path / "g2.json"
     path.write_text(serialize_manifold(random_splitting(2, 13, 12)))
     count = []
-    check = splitting.block_relation_violations
-    monkeypatch.setattr(
-        splitting, "block_relation_violations", lambda *blocks: count.append(1) or check(*blocks)
-    )
+    check = splitting._anti_symplectic
+    monkeypatch.setattr(splitting, "_anti_symplectic", lambda *blocks: count.append(1) or check(*blocks))
     for cmd, extra in REPORT_ARGS.items():
         count.clear()
         code, _, err = capture(cmd, str(path), *extra)
@@ -346,10 +344,8 @@ def test_writers_validate_each_input_once(capture, monkeypatch, tmp_path):
     path = tmp_path / "g2.json"
     path.write_text(serialize_manifold(random_splitting(2, 13, 12)))
     count = []
-    check = splitting.block_relation_violations
-    monkeypatch.setattr(
-        splitting, "block_relation_violations", lambda *blocks: count.append(1) or check(*blocks)
-    )
+    check = splitting._anti_symplectic
+    monkeypatch.setattr(splitting, "_anti_symplectic", lambda *blocks: count.append(1) or check(*blocks))
     for argv, validations in ((("sum", str(path), str(path)), 2), (("stabilize", str(path)), 1)):
         count.clear()
         code, _, err = capture(*argv)

@@ -58,8 +58,18 @@ def test_matrix_refuses_non_integer_entries(bad):
 
 def test_matrix_takes_int_and_bool_entries_as_int():
     m = IntMatrix.from_rows([[True, False, 10**40]])
-    assert m.entries == (1, 0, 10**40)
-    assert all(type(e) is int for e in m.entries)
+    assert m.to_rows() == ((1, 0, 10**40),)
+    assert all(type(e) is int for e in m.row(0))
+
+
+def test_matrix_rows_and_columns_refuse_an_index_past_the_shape():
+    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(IndexError):
+        m.row(2)
+    with pytest.raises(IndexError):
+        m.col(3)
+    assert [len(m.row(i)) for i in range(2)] == [3, 3]
+    assert [len(m.col(j)) for j in range(3)] == [2, 2, 2]
 
 
 def test_matrix_is_immutable_and_hashable():
@@ -124,24 +134,26 @@ def test_phase_group_laws(x, y, z):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a + PhaseQ(0) == a
-    assert a + (-a) == PhaseQ(0)
-    assert a - b == a + (-b)
+    assert a + PhaseQ(-x) == PhaseQ(0)
 
 
 @given(rationals, st.integers(-20, 20))
 def test_phase_scaling(x, n):
-    a = PhaseQ(x)
+    # n-fold sums of a, or of its inverse, are the phase of n·x
+    a = PhaseQ(x if n > 0 else -x)
     total = PhaseQ(0)
     for _ in range(abs(n)):
-        total = total + a if n > 0 else total - a
-    assert a * n == total
-    assert n * a == a * n
+        total = total + a
+    assert PhaseQ(n * x) == total
 
 
 @given(rationals)
 def test_phase_order_annihilates(x):
     a = PhaseQ(x)
-    assert a * a.denominator == PhaseQ(0)
+    total = PhaseQ(0)
+    for _ in range(a.denominator):
+        total = total + a
+    assert total == PhaseQ(0)
 
 
 @given(rationals, rationals)
@@ -149,7 +161,6 @@ def test_phase_hash_consistent_with_eq(x, y):
     a, b = PhaseQ(x), PhaseQ(y)
     if a == b:
         assert hash(a) == hash(b)
-    assert (a < b) == (a.value < b.value)
 
 
 def test_phase_immutable():

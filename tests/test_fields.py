@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heegaard.exact import PhaseQ
+from heegaard.exact import PhaseQ, vec_dot
 from heegaard.fields import (
     FiniteDBClass,
     bf_action,
@@ -17,6 +17,7 @@ from heegaard.homology import (
     homology_profile,
     torsion_elements,
 )
+from heegaard.linking import linking_form
 from heegaard.splitting import (
     GluingData,
     connected_sum,
@@ -117,11 +118,23 @@ def test_bf_action_pinned():
     assert bf_action(G, FiniteDBClass(G), FiniteDBClass(G), 3) == PhaseQ(0)
 
 
+def literal_cs(G, A, k, theta_t):
+    """The CS action of A at level k written out term by term, with the
+    torsion term read on the representative theta_t of A.theta_t."""
+    gamma = linking_form(G, theta_t, theta_t).value
+    return PhaseQ(
+        k * A.smooth_self
+        + 2 * k * vec_dot(A.m, A.holonomy)
+        - 2 * k * vec_dot(A.theta_f, A.m)
+        - k * gamma
+    )
+
+
 @given(splitting_params, st.integers(1, 7), st.integers(0, 10**6))
 def test_bf_diagonal_recovers_cs(params, k, salt):
     G = random_splitting(*params)
     A = make_class(G, random.Random(salt))
-    assert bf_action(G, A, A, k, cross=A.smooth_self) == cs_action(G, A, k)
+    assert bf_action(G, A, A, k, cross=A.smooth_self) == literal_cs(G, A, k, A.theta_t)
 
 
 def test_level_must_be_positive():
@@ -140,22 +153,12 @@ def test_torsion_representative_shift_fixes_cs(params, salt, zs):
     representative goes through linking_form directly and the assembled
     value must match what cs_action computes from the reduced one.
     """
-    from heegaard.exact import vec_dot
-    from heegaard.linking import linking_form
-
     G = random_splitting(*params)
     A = make_class(G, random.Random(salt))
     z = [zs[i % len(zs)] for i in range(G.genus)]
     raw = [x + n for x, n in zip(A.theta_t, z)]
     for k in (1, 2, 5):
-        gamma = linking_form(G, raw, raw).value
-        manual = PhaseQ(
-            k * A.smooth_self
-            + 2 * k * vec_dot(A.m, A.holonomy)
-            - 2 * k * vec_dot(A.theta_f, A.m)
-            - k * gamma
-        )
-        assert manual == cs_action(G, A, k)
+        assert literal_cs(G, A, k, raw) == cs_action(G, A, k)
 
 
 # ---------------------------------------------------------------- db_pair

@@ -78,7 +78,6 @@ def test_phase_sum_canonical():
     assert a.to_mapping() == {"0/1": 1, "1/3": 2}
     assert a.total_terms == 3
     assert len(a) == 2
-    assert PhaseQ(0) in a and PhaseQ(Fraction(1, 7)) not in a
 
 
 def test_phase_sum_drops_zero_and_rejects_negative():
@@ -95,18 +94,10 @@ def test_phase_sum_items_sorted():
 
 
 def test_phase_sum_algebra():
-    s = PhaseSum([(Fraction(1, 4), 1), (0, 2)])
-    t = PhaseSum([(Fraction(1, 4), 3)])
-    assert s + t == PhaseSum([(Fraction(1, 4), 4), (0, 2)])
-
-
-def test_phase_sum_lookup_reads_phases_as_the_constructor_does():
-    s = z_cs(lens(5, 1), 1)
-    assert s.to_mapping() == {"0/1": 1, "1/5": 2, "4/5": 2}
-    assert Fraction(1, 5) in s and Fraction(6, 5) in s and Fraction(-1, 5) in s
-    assert 0 in s and 3 in s and PhaseQ(0) in s
-    assert Fraction(1, 3) not in s and Fraction(2, 5) not in s
-    assert Fraction(1, 2) not in PhaseSum()
+    # the union of two term lists is one sum: the multiplicities of a phase add
+    s = [(Fraction(1, 4), 1), (0, 2)]
+    t = [(Fraction(1, 4), 3)]
+    assert PhaseSum(s + t) == PhaseSum([(Fraction(1, 4), 4), (0, 2)])
 
 
 def test_phase_sum_product_pinned():
@@ -172,7 +163,7 @@ def test_unpickled_manifold_starts_with_empty_memo():
 
 # every slot of each value type: True if equality and hash read it
 COMPARED_SLOTS = {
-    "IntMatrix": {"rows": True, "cols": True, "entries": True},
+    "IntMatrix": {"rows": True, "cols": True, "_rows": True},
     "PhaseQ": {"value": True},
     "PhaseSum": {"_den": True, "_counts": True, "_numeric": False},
     "GluingData": {"genus": True, "R": True, "P": True, "S": True, "Q": True, "_memo": False},
@@ -225,8 +216,8 @@ def test_equality_reads_exactly_the_compared_fields(index):
     assert set(compared) == set(type(x).__slots__)
     for name, is_compared in compared.items():
         value = getattr(x, name)
-        if isinstance(value, IntMatrix):  # same shape, other entries: GluingData compares entries
-            others = [IntMatrix._of(value.rows, value.cols, tuple(e + 1 for e in value.entries))]
+        if isinstance(value, IntMatrix):  # same shape, other entries: GluingData compares rows
+            others = [IntMatrix._of(tuple(tuple(e + 1 for e in r) for r in value.to_rows()))]
         elif isinstance(x, PhaseQ):  # 3/7 against 2/7 and 3/8: numerator, denominator
             others = [Fraction(2, 7), Fraction(3, 8)]
         else:
@@ -295,7 +286,7 @@ def test_z_cs_term_values_match_literal_loop():
 
     G = random_splitting(2, 3, 6)
     k = 3
-    expected = PhaseSum(Counter(linking_form(G, t, t) * (-k) for t in torsion_elements(G)))
+    expected = PhaseSum(Counter(linking_form(G, t, t).value * -k for t in torsion_elements(G)))
     assert fresh(G, k, z_cs) == expected
 
 
@@ -1070,9 +1061,9 @@ def assert_z_cs_matches_literal_loop(G, levels):
     from heegaard.linking import linking_form
 
     G = GluingData(G.R, G.P, G.S, G.Q)
-    gammas = [linking_form(G, t, t) for t in torsion_elements(G)]
+    gammas = [linking_form(G, t, t).value for t in torsion_elements(G)]
     for k in levels:
-        assert z_cs(G, k) == PhaseSum(Counter(g * (-k) for g in gammas))
+        assert z_cs(G, k) == PhaseSum(Counter(g * -k for g in gammas))
 
 
 def test_z_cs_matches_literal_loop_on_lens_spaces():
@@ -1180,20 +1171,17 @@ def assert_matches_model(S, model):
     assert S == PhaseSum(dict(model)) and hash(S) == hash(PhaseSum(dict(model)))
 
 
-@given(phase_terms, phase_terms, st.lists(rationals, max_size=6))
-def test_phase_sum_agrees_with_counter_model(a, b, probes):
+@given(phase_terms, phase_terms)
+def test_phase_sum_agrees_with_counter_model(a, b):
     A, B = PhaseSum(a), PhaseSum(b)
     ma, mb = counter_model(a), counter_model(b)
     assert_matches_model(A, ma)
-    assert_matches_model(A + B, ma + mb)
+    assert_matches_model(PhaseSum(a + b), ma + mb)
     product_model = Counter()
     for v, m in ma.items():
         for w, n in mb.items():
             product_model[frac_mod1(v + w)] += m * n
     assert_matches_model(A * B, product_model)
-    for x in probes + [v for v, _ in a]:
-        for probe in (PhaseQ(x), x):
-            assert (probe in A) == (frac_mod1(x) in ma)
 
 
 @given(phase_terms, phase_terms, phase_terms)
@@ -1205,7 +1193,8 @@ def test_phase_sum_product_laws(a, b, c):
     assert A * one == A == one * A
     assert (A * B).total_terms == A.total_terms * B.total_terms
     assert A * empty == empty == empty * A
-    assert A * (B + C) == A * B + A * C
+    # B + C as one sum, the union of the term lists, and so A·B + A·C
+    assert A * PhaseSum(b + c) == PhaseSum((A * B).items() + (A * C).items())
 
 
 weighted_terms = st.lists(st.tuples(rationals, st.integers(1, 20)), max_size=40)
@@ -1220,10 +1209,7 @@ def test_eval_numeric_order_free_and_accurate(terms, rng):
         rng.shuffle(phases)
         shuffled = terms[:]
         rng.shuffle(shuffled)
-        singles = PhaseSum()
-        for x, mult in shuffled:
-            singles = singles + PhaseSum({PhaseQ(x): mult})
-        for T in (PhaseSum(Counter(phases)), singles):
+        for T in (PhaseSum(Counter(phases)), PhaseSum(shuffled)):
             assert T == S
             assert repr(eval_numeric(T)) == repr(value)
     direct = sum(cmath.exp(2j * pi * float(ph.value)) for ph in phases)
