@@ -36,23 +36,21 @@ G = random_splitting(genus=2, seed=11, word_length=9)
 prof = homology_profile(G)
 print(f"  random(genus=2, seed=11, length=9): b1={prof.b1}, "
       f"factors={list(prof.invariant_factors)}")
-print(f"  P block rows: {G.P.to_rows()}")
+print(f"  P block rows: {G.P}")
 
 print()
 print("== validate() accepts raw blocks and re-checks all six relations ==")
-same = validate(G.R.to_rows(), G.P.to_rows(), G.S.to_rows(), G.Q.to_rows())
+same = validate(G.R, G.P, G.S, G.Q)
 print(f"  revalidated equals original: {same == G}")
 
 print()
 print("== breaking one entry is caught, with the violated relation named ==")
-rows = [list(r) for r in G.P.to_rows()]
+rows = [list(r) for r in G.P]
 rows[0][0] += 1
-violations = block_relation_violations(
-    G.R.to_rows(), rows, G.S.to_rows(), G.Q.to_rows()
-)
+violations = block_relation_violations(G.R, rows, G.S, G.Q)
 for line in violations:
     print(f"  violated: {line}")
 try:
-    validate(G.R.to_rows(), rows, G.S.to_rows(), G.Q.to_rows())
+    validate(G.R, rows, G.S, G.Q)
 except ValidationError as exc:
     print(f"  validate() raised ValidationError with {len(exc.violations)} line(s)")

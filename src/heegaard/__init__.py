@@ -8,7 +8,6 @@ brute-force oracles for the closed-form claims.
 """
 
 from .exact import (
-    IntMatrix,
     PhaseQ,
     frac_mod1,
     vec_dot,
@@ -46,7 +45,6 @@ from .splitting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix",
     "PhaseQ",
     "frac_mod1",
     "vec_dot",

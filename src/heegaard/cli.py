@@ -148,7 +148,7 @@ def parse_manifold(data: bytes) -> tuple:
 
 
 def _manifold_obj(G: GluingData, name=None) -> dict:
-    obj = {"genus": G.genus, "R": G.R.to_rows(), "P": G.P.to_rows(), "S": G.S.to_rows(), "Q": G.Q.to_rows()}
+    obj = {"genus": G.genus, "R": G.R, "P": G.P, "S": G.S, "Q": G.Q}
     if name is not None:
         obj["name"] = name
     return obj
@@ -338,9 +338,9 @@ def _oracle(G, ns) -> dict:
         "bf_closed_form", closed, eval_numeric(z_bf(G, k)), 1e-6 * max(1.0, float(closed))
     ))]
 
-    if G.genus == 1 and G.P[0, 0] != 0:
-        p = abs(G.P[0, 0])
-        q = G.Q[0, 0] * (1 if G.P[0, 0] > 0 else -1)
+    if G.genus == 1 and G.P[0][0] != 0:
+        p = abs(G.P[0][0])
+        q = G.Q[0][0] * (1 if G.P[0][0] > 0 else -1)
         checks.append(_unless_refused(
             "gauss_sum", lambda: _check("gauss_sum", gauss_sum_oracle(p, q, k), cs_num, 1e-9)
         ))

@@ -1,4 +1,4 @@
-"""Exact integer and rational kernels: matrices, Smith normal form, phases.
+"""Exact integer and rational kernels: products, Smith normal form, phases.
 
 Everything here is immutable and pure, and no floating point appears
 anywhere in this module.  Rationals are `fractions.Fraction`; phases live
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter, index, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _rational(x: int | Fraction) -> Fraction:
@@ -33,11 +33,22 @@ def frac_mod1(x: int | Fraction) -> Fraction:
     return Fraction(f.numerator % f.denominator, f.denominator)
 
 
+def _dot(u, v):
+    """<u, v> of two vectors of ints or Fractions, with no length check."""
+    return sum(map(mul, u, v))
+
+
 def vec_dot(u: Sequence, v: Sequence):
     """Exact dot product <u, v> of equal-length numeric vectors."""
     if len(u) != len(v):
         raise ValueError(f"dot product length mismatch: {len(u)} vs {len(v)}")
-    return sum(map(mul, u, v))
+    return _dot(u, v)
+
+
+def _apply(rows: Sequence[Sequence[int]], vec: Sequence) -> tuple:
+    """The product of the integer matrix with these rows and a vector of
+    ints or Fractions as long as a row; the caller checks that length."""
+    return tuple([_dot(r, vec) for r in rows])
 
 
 class Frozen:
@@ -86,63 +97,6 @@ def _rebuild(cls, values):
     self = object.__new__(cls)
     self._init(*values)
     return self
-
-
-class IntMatrix(Frozen):
-    """Immutable integer matrix, held as a tuple of row tuples.
-
-    Storage for the gluing blocks: entries, rows, columns and application
-    to a rational vector, with no products; the block relations are read
-    from rows and columns directly.  from_rows checks its entries with
-    operator.index, so an int or bool is taken and a float, Fraction or
-    Decimal is refused with TypeError rather than truncated.  Blocks
-    built inside the package from rows of ints go through the trusted _of.
-    """
-
-    __slots__ = ("rows", "cols", "_rows")
-
-    @classmethod
-    def _of(cls, rows: tuple) -> "IntMatrix":
-        """Trusted constructor: rows is a tuple of equal-length tuples of ints."""
-        self = object.__new__(cls)
-        set_rows, set_cols, set_data = cls._setters
-        set_rows(self, len(rows))
-        set_cols(self, len(rows[0]) if rows else 0)
-        set_data(self, rows)
-        return self
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        """Build from an iterable of equal-length row iterables."""
-        mat = tuple([tuple(map(index, row)) for row in rows])
-        n = len(mat[0]) if mat else 0
-        if any(len(r) != n for r in mat):
-            raise ValueError("ragged rows")
-        return cls._of(mat)
-
-    def __getitem__(self, key) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return self._rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self._rows[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple([r[j] for r in self._rows])
-
-    def to_rows(self) -> tuple:
-        return self._rows
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product; vec entries may be int or Fraction."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} does not match cols {self.cols}")
-        return tuple([sum(map(mul, r, vec)) for r in self._rows])
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self._rows]!r})"
 
 
 class PhaseQ(Frozen, compared=("value.numerator", "value.denominator")):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 
-from .exact import Frozen, PhaseQ, _rational, vec_dot
+from .exact import Frozen, PhaseQ, _apply, _rational, vec_dot
 from .homology import TorsionRep
 from .linking import linking_form
 from .partition import _check_level
@@ -46,11 +46,11 @@ class FiniteDBClass(Frozen):
             theta_t = TorsionRep(theta_t)
         if len(m) != g or len(theta_f) != g or len(holonomy) != g or len(theta_t) != g:
             raise ValueError(f"sector constraint violation: sectors must have length {g}")
-        if any(vec_dot(G.P.col(j), m) for j in range(g)):
+        if any(vec_dot(col, m) for col in zip(*G.P)):
             raise ValueError("sector constraint violation: m is not annihilated by P†")
-        if any(x != 0 for x in G.P.apply(theta_f)):
+        if any(x != 0 for x in _apply(G.P, theta_f)):
             raise ValueError("sector constraint violation: theta_f is not a free flat mode")
-        if any(x.denominator != 1 for x in G.P.apply(theta_t.theta)):
+        if any(x.denominator != 1 for x in _apply(G.P, theta_t.theta)):
             raise ValueError("sector constraint violation: P·theta_t is not integral")
         self._init(G, m, theta_f, theta_t, holonomy, _rational(smooth_self))
 
@@ -154,7 +154,7 @@ def zero_mode_shift(G: GluingData, A: FiniteDBClass, u, k: int) -> FiniteDBClass
     u = tuple(map(index, u))
     if len(u) != G.genus:
         raise ValueError(f"u has length {len(u)}, expected {G.genus}")
-    if any(x != 0 for x in G.P.apply(u)):
+    if any(x != 0 for x in _apply(G.P, u)):
         raise ValueError("u is not in the integer kernel of P")
     shifted = tuple(x + Fraction(c, 2 * k) for x, c in zip(A.theta_f, u))
     return A.replace(theta_f=shifted)

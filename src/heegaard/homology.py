@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, prod
 
-from .exact import Frozen, _rational, _replay_columns, _smith_eliminate, vec_dot
+from .exact import Frozen, _apply, _rational, _replay_columns, _smith_eliminate, vec_dot
 from .splitting import GluingData, per_manifold
 
 
@@ -87,7 +87,7 @@ def homology_profile(G: GluingData) -> HomologyProfile:
     V^-1 would reach tens of thousands of bits at genus 40.
     """
     g = G.genus
-    work, log = _smith_eliminate(G.P.to_rows())
+    work, log = _smith_eliminate(G.P)
     diag = [row[i] for i, row in enumerate(work)]
     rank = g - diag.count(0)
     factors = tuple([d for d in diag if d > 1])
@@ -166,4 +166,4 @@ def curvature_lattice_basis(G: GluingData) -> list:
     to the kernel columns of homology_profile is a basis; no second Smith
     form runs.
     """
-    return [G.Q.apply(c) for c in homology_profile(G).kernel_columns]
+    return [_apply(G.Q, c) for c in homology_profile(G).kernel_columns]

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
-from .exact import Frozen, PhaseQ, _rational, vec_dot
+from .exact import Frozen, PhaseQ, _apply, _dot, _rational, vec_dot
 from .homology import TorsionRep, homology_profile
 from .splitting import _ENUMERATION_LIMIT, GluingData, per_manifold
 
@@ -71,12 +70,12 @@ def linking_form(G: GluingData, theta, vartheta) -> PhaseQ:
         vec = tuple(map(_rational, raw))
         if len(vec) != G.genus:
             raise ValueError(f"{name} has length {len(vec)}, expected {G.genus}")
-        image = G.P.apply(vec)
+        image = _apply(G.P, vec)
         if any(x.denominator != 1 for x in image):
             raise ValueError(f"{name} is not a torsion representative: P·{name} is not integral")
         checked.append((vec, image))
     (t, _), (_, pv) = checked
-    return PhaseQ(vec_dot(G.Q.apply(t), pv))
+    return PhaseQ(vec_dot(_apply(G.Q, t), pv))
 
 
 @per_manifold
@@ -92,10 +91,10 @@ def linking_matrix(G: GluingData) -> LinkingMatrix:
     """
     profile = homology_profile(G)
     dims, columns = profile.invariant_factors, profile.torsion_columns
-    images = [[x // d for x in G.P.apply(c)] for c, d in zip(columns, dims)]
+    images = [[x // d for x in _apply(G.P, c)] for c, d in zip(columns, dims)]
     rows = [
-        (d_i, [sum(map(mul, left, image)) % d_i for image in images])
-        for left, d_i in zip(map(G.Q.apply, columns), dims)
+        (d_i, [_dot(left, image) % d_i for image in images])
+        for left, d_i in zip((_apply(G.Q, c) for c in columns), dims)
     ]
     den = lcm(*(d_i // gcd(a, d_i) for d_i, row in rows for a in row))
     num = tuple([tuple([a * den // d_i for a in row]) for d_i, row in rows])

@@ -34,7 +34,7 @@ from itertools import product
 from math import cos, fsum, gcd, lcm, pi, sin
 from operator import index, mul
 
-from .exact import Frozen, PhaseQ, frac_mod1, vec_dot
+from .exact import Frozen, PhaseQ, _apply, _dot, frac_mod1, vec_dot
 from .homology import curvature_lattice_basis, homology_profile
 from .linking import _jordan_splitting, _primary_parts, _square_class, is_nondegenerate
 from .splitting import _ENUMERATION_LIMIT, GluingData, _check_enumerable, per_manifold
@@ -481,13 +481,13 @@ def _torsion_factor(G: GluingData, k: int) -> complex:
     """
     profile = homology_profile(G)
     dims, columns = profile.invariant_factors, profile.torsion_columns
-    if any(x % d for c, d in zip(columns, dims) for x in G.P.apply(c)):
+    if any(x % d for c, d in zip(columns, dims) for x in _apply(G.P, c)):
         raise ValueError("a torsion column c_i has P·c_i outside d_i·Z^g")
     top = dims[-1] if dims else 1
     D2 = top * top
     gens = [[top // d * x for x in c] for c, d in zip(columns, dims)]
-    images = [G.P.apply(gen) for gen in gens]
-    B = [[sum(map(mul, left, im)) % D2 for im in images] for left in map(G.Q.apply, gens)]
+    images = [_apply(G.P, gen) for gen in gens]
+    B = [[_dot(left, im) % D2 for im in images] for left in (_apply(G.Q, gen) for gen in gens)]
     total = 0j
     for a in product(*map(range, dims)):
         v = sum(map(mul, a, [sum(map(mul, row, a)) for row in B]))

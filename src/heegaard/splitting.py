@@ -16,10 +16,10 @@ from __future__ import annotations
 import random
 from functools import wraps
 from math import gcd
-from operator import add, index, mul, sub
+from operator import add, index, sub
 from typing import Iterable
 
-from .exact import Frozen, IntMatrix
+from .exact import Frozen, _dot
 
 # largest |T|, d_r or p that a sum may enumerate, and (2g)² a random splitting may build
 _ENUMERATION_LIMIT = 10**6
@@ -41,22 +41,42 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def _as_block(x, name: str) -> IntMatrix:
-    if isinstance(x, IntMatrix):
+class _Block(tuple):
+    """A gluing block: a tuple of row tuples of ints.
+
+    The type only adds to_rows(), which returns the block itself; bench/
+    reads each block through it.  The empty __slots__ keeps a block free
+    of attributes, as a tuple is.
+    """
+
+    __slots__ = ()
+
+    def to_rows(self) -> "_Block":
+        return self
+
+
+def _as_block(x, name: str) -> _Block:
+    """x as a block: rows of ints or bools, checked with operator.index, so
+    a float, Fraction or Decimal is refused rather than truncated."""
+    if isinstance(x, _Block):
         return x
     try:
-        return IntMatrix.from_rows(x)
+        rows = _Block([tuple(map(index, row)) for row in x])
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
     except (TypeError, ValueError) as exc:
         raise ValidationError([f"block {name} is not an integer matrix: {exc}"]) from exc
+    return rows
 
 
 def _coerce_blocks(r, p, s, q) -> tuple:
     blocks = tuple(_as_block(x, n) for x, n in zip((r, p, s, q), "RPSQ"))
-    g = blocks[0].rows
+    g = len(blocks[0])
     for b, n in zip(blocks, "RPSQ"):
-        if b.rows != g or b.cols != g:
+        cols = len(b[0]) if b else 0
+        if len(b) != g or cols != g:
             raise ValidationError(
-                [f"dimension mismatch: block {n} is {b.rows}x{b.cols}, expected {g}x{g}"]
+                [f"dimension mismatch: block {n} is {len(b)}x{cols}, expected {g}x{g}"]
             )
     if g < 1:
         raise ValidationError(["genus must be at least 1"])
@@ -70,18 +90,14 @@ def _fmt(m: list) -> str:
         return "<entries too long to print>"
 
 
-def _dot(u, v):
-    return sum(map(mul, u, v))
-
-
-def _anti_symplectic(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> bool:
+def _anti_symplectic(R: tuple, P: tuple, S: tuple, Q: tuple) -> bool:
     """Q†P = P†Q, S†R = R†S and P†S − Q†R = 1, which together are M†JM = −J.
 
     Entry (i, j) of A†B is column i of A dotted with column j of B, so the
     four products are read off the columns, with no product built.
     """
-    g = R.rows
-    r, p, s, q = (list(zip(*A.to_rows())) for A in (R, P, S, Q))
+    g = len(R)
+    r, p, s, q = (list(zip(*A)) for A in (R, P, S, Q))
     dot = _dot
     return all(
         dot(q[i], p[j]) == dot(q[j], p[i]) and dot(s[i], r[j]) == dot(s[j], r[i])
@@ -109,12 +125,11 @@ def block_relation_violations(r, p, s, q) -> list:
     return [] if _anti_symplectic(*blocks) else _violations(*blocks)
 
 
-def _violations(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> list:
+def _violations(rr: tuple, pr: tuple, sr: tuple, qr: tuple) -> list:
     """The failure lines of the six relations, from the blocks' columns
     (the A†B products) and rows (the AB† products): a symmetric relation
     X = X† takes the one product X, eight products in all."""
-    g = R.rows
-    rr, pr, sr, qr = (A.to_rows() for A in (R, P, S, Q))
+    g = len(rr)
     rc, pc, sc, qc = (list(zip(*A)) for A in (rr, pr, sr, qr))
     minus = lambda X, Y: [[x - y for x, y in zip(u, v)] for u, v in zip(X, Y)]
     one = [[int(i == j) for j in range(g)] for i in range(g)]
@@ -134,15 +149,15 @@ def _violations(R: IntMatrix, P: IntMatrix, S: IntMatrix, Q: IntMatrix) -> list:
     return out
 
 
-class GluingData(Frozen, compared=("genus", "R._rows", "P._rows", "S._rows", "Q._rows")):
+class GluingData(Frozen, compared=("genus", "R", "P", "S", "Q")):
     """Validated gluing blocks of a genus-g Heegaard splitting.
 
     Construction checks the block relations (_anti_symplectic) and
     raises ValidationError with the lines of block_relation_violations
     otherwise, so every live instance is valid.  Instances are immutable
     and hashable, for use as dict or set keys, and compare the genus and
-    the blocks' rows; invariants derived from them live on the instance
-    (per_manifold), outside its value.
+    the blocks, each a tuple of row tuples; invariants derived from them
+    live on the instance (per_manifold), outside its value.
     """
 
     __slots__ = ("genus", "R", "P", "S", "Q", "_memo")
@@ -151,15 +166,15 @@ class GluingData(Frozen, compared=("genus", "R._rows", "P._rows", "S._rows", "Q.
         blocks = _coerce_blocks(r, p, s, q)
         if not _anti_symplectic(*blocks):
             raise ValidationError(_violations(*blocks))
-        self._init(blocks[0].rows, *blocks, {})
+        self._init(len(blocks[0]), *blocks, {})
 
     @classmethod
     def _trusted(cls, R, P, S, Q) -> "GluingData":
-        """Trusted constructor: R, P, S, Q are square IntMatrix blocks already
+        """Trusted constructor: R, P, S, Q are square blocks (_Block) already
         known to satisfy the six relations."""
         self = object.__new__(cls)
         set_genus, set_r, set_p, set_s, set_q, set_memo = cls._setters
-        set_genus(self, R.rows)
+        set_genus(self, len(R))
         set_r(self, R)
         set_p(self, P)
         set_s(self, S)
@@ -172,10 +187,7 @@ class GluingData(Frozen, compared=("genus", "R._rows", "P._rows", "S._rows", "Q.
         return GluingData, (self.R, self.P, self.S, self.Q)
 
     def __repr__(self) -> str:
-        return (
-            f"GluingData(genus={self.genus}, R={self.R.to_rows()}, "
-            f"P={self.P.to_rows()}, S={self.S.to_rows()}, Q={self.Q.to_rows()})"
-        )
+        return f"GluingData(genus={self.genus}, R={self.R}, P={self.P}, S={self.S}, Q={self.Q})"
 
 
 def per_manifold(fn):
@@ -238,8 +250,9 @@ def lens(p: int, q: int) -> GluingData:
         raise ValidationError(
             [f"P†S − Q†R = {det} ≠ 1", f"SP† − QR† = {det} ≠ 1"]
         )
-    of = IntMatrix._of
-    return GluingData._trusted(of(((r,),)), of(((p,),)), of(((s,),)), of(((q,),)))
+    return GluingData._trusted(
+        _Block(((r,),)), _Block(((p,),)), _Block(((s,),)), _Block(((q,),))
+    )
 
 
 def connected_sum(g1: GluingData, g2: GluingData) -> GluingData:
@@ -249,11 +262,9 @@ def connected_sum(g1: GluingData, g2: GluingData) -> GluingData:
     holds for g1 and g2, so the result is not validated again.
     """
 
-    def diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-        n1, n2 = a.rows, b.rows
-        rows = [a.row(i) + (0,) * n2 for i in range(n1)]
-        rows += [(0,) * n1 + b.row(i) for i in range(n2)]
-        return IntMatrix._of(tuple(rows))
+    def diag(a: _Block, b: _Block) -> _Block:
+        n1, n2 = len(a), len(b)
+        return _Block([r + (0,) * n2 for r in a] + [(0,) * n1 + r for r in b])
 
     return GluingData._trusted(
         diag(g1.R, g2.R), diag(g1.P, g2.P), diag(g1.S, g2.S), diag(g1.Q, g2.Q)
@@ -318,5 +329,5 @@ def random_splitting(genus: int, seed: int, word_length: int) -> GluingData:
             k, up = (j + g, c > 0) if j < g else (j - g, c < 0)
             W[k] = list(map(add if up else sub, W[k], wv))
     # M₀·W swaps the two row halves of W; zipping a block's columns gives its rows
-    block = lambda r0, c0: IntMatrix._of(tuple(zip(*(col[r0 : r0 + g] for col in W[c0 : c0 + g]))))
+    block = lambda r0, c0: _Block(zip(*(col[r0 : r0 + g] for col in W[c0 : c0 + g])))
     return GluingData._trusted(block(g, 0), block(g, g), block(0, 0), block(0, g))

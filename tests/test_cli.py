@@ -410,6 +410,18 @@ def test_oracle_subcommand_agreement(capture, lens_file):
     assert {"bf_closed_form", "gauss_sum", "free_mode_grid"} <= names
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_reads_a_lens_with_negative_p(capture, tmp_path, k):
+    # P = -7 is L(7, -2); mod 7 the Gauss sums at q = 2 and q = -2 are complex
+    # conjugates, so a read that drops the sign of P disagrees
+    path = tmp_path / "negp.json"
+    path.write_text(json.dumps({"genus": 1, "R": [[-4]], "P": [[-7]], "S": [[1]], "Q": [[2]]}))
+    code, out, err = capture("oracle", str(path), "--level", str(k))
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+    assert checks["gauss_sum"]["agrees"] is True
+
+
 def test_oracle_disagreement_exits_1_with_report(capture, lens_file, monkeypatch):
     monkeypatch.setattr("heegaard.cli.gauss_sum_oracle", lambda p, q, k: 0j)
     code, out, err = capture("oracle", lens_file(5, 1), "--level", "1")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -5,13 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heegaard.exact import (
-    IntMatrix,
     PhaseQ,
+    _apply,
     frac_mod1,
     vec_dot,
 )
-from heegaard.splitting import random_splitting
-from conftest import diagonal, smith_form
+from heegaard.splitting import GluingData, ValidationError, lens, random_splitting, validate
+from conftest import diagonal, matmul, smith_form
 from oracle_helpers import (
     abelian_order_multiset,
     assert_smith_certificate,
@@ -33,72 +35,55 @@ def int_matrices(max_dim=5, entries=entries):
     )
 
 
-# ---------------------------------------------------------------- IntMatrix
+# ------------------------------------------------------------ gluing blocks
 
 
 def test_matrix_construction_and_access():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert (a.rows, a.cols) == (2, 2)
-    assert a[0, 1] == 2 and a[1, 0] == 3
-    assert a.row(1) == (3, 4)
-    assert a.col(0) == (1, 3)
-    assert a.to_rows() == ((1, 2), (3, 4))
+    # any iterable of integer rows goes in; each block is kept as a tuple of row tuples
+    G = validate([[0, 0], [0, 0]], ([1, 2], (0, 1)), iter([[1, 0], [-2, 1]]), [[0, 0]] * 2)
+    assert G.genus == 2
+    assert (G.P, G.S) == (((1, 2), (0, 1)), ((1, 0), (-2, 1)))
+    assert all(type(r) is tuple for b in (G.R, G.P, G.S, G.Q) for r in b)
+    assert G.P[0][1] == 2 and G.S[1][0] == -2
 
 
 def test_matrix_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValidationError) as exc:
+        validate([[0, 0], [0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 0]])
+    assert exc.value.violations == ("block R is not an integer matrix: ragged rows",)
 
 
 @pytest.mark.parametrize("bad", [2.9, 2.0, Fraction(7, 2), Fraction(4, 1), Decimal("2.5")])
 def test_matrix_refuses_non_integer_entries(bad):
-    with pytest.raises(TypeError):
-        IntMatrix.from_rows([[1, bad]])
+    # refused, not truncated, even where int() would lose nothing: 2.0 and Fraction(4, 1)
+    with pytest.raises(ValidationError) as exc:
+        validate([[0]], [[1]], [[1]], [[bad]])
+    name = "decimal.Decimal" if isinstance(bad, Decimal) else type(bad).__name__
+    assert exc.value.violations == (
+        f"block Q is not an integer matrix: '{name}' object cannot be interpreted as an integer",
+    )
 
 
 def test_matrix_takes_int_and_bool_entries_as_int():
-    m = IntMatrix.from_rows([[True, False, 10**40]])
-    assert m.to_rows() == ((1, 0, 10**40),)
-    assert all(type(e) is int for e in m.row(0))
-
-
-def test_matrix_rows_and_columns_refuse_an_index_past_the_shape():
-    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(IndexError):
-        m.row(2)
-    with pytest.raises(IndexError):
-        m.col(3)
-    assert [len(m.row(i)) for i in range(2)] == [3, 3]
-    assert [len(m.col(j)) for j in range(3)] == [2, 2, 2]
+    G = GluingData([[0]], [[True]], [[1]], [[10**40]])
+    assert (G.R, G.P, G.S, G.Q) == (((0,),), ((1,),), ((1,),), ((10**40,),))
+    assert all(type(e) is int for b in (G.R, G.P, G.S, G.Q) for r in b for e in r)
 
 
 def test_matrix_is_immutable_and_hashable():
-    a = IntMatrix.from_rows([[1, 0], [0, 1]])
-    assert a == IntMatrix.from_rows(([1, 0], (0, True)))
-    assert hash(a) == hash(IntMatrix.from_rows([[1, 0], [0, 1]]))
-    assert a != IntMatrix.from_rows([[1, 0, 0, 1]])
+    G = lens(7, 3)
     with pytest.raises(AttributeError):
-        a.rows = 3
-
-
-def test_matrix_shape_mismatch_raises():
-    with pytest.raises(ValueError, match="vector length 3 does not match cols 2"):
-        IntMatrix.from_rows([[1, 2], [3, 4]]).apply((1, 2, 3))
-
-
-@given(int_matrices(4))
-def test_transpose_involution(rows):
-    # the columns of a, read as rows, make its transpose, whose columns are a's rows
-    a = IntMatrix.from_rows(rows)
-    t = IntMatrix.from_rows(a.col(j) for j in range(a.cols))
-    assert (t.rows, t.cols) == (a.cols, a.rows)
-    assert IntMatrix.from_rows(t.col(j) for j in range(t.cols)) == a
+        G.P.x = 1
+    assert G.P == ((7,),) and hash(G.P) == hash(((7,),))
+    assert G.P.to_rows() is G.P  # the benchmark reads each block through to_rows()
+    for H in (pickle.loads(pickle.dumps(G)), copy.copy(G), copy.deepcopy(G)):
+        assert H == G and type(H.P) is type(G.P)
 
 
 def test_apply_preserves_exactness():
-    a = IntMatrix.from_rows([[2, 1], [0, 3]])
-    assert a.apply((1, 1)) == (3, 3)
-    out = a.apply((Fraction(1, 2), Fraction(1, 3)))
+    rows = ((2, 1), (0, 3))
+    assert _apply(rows, (1, 1)) == (3, 3)
+    out = _apply(rows, (Fraction(1, 2), Fraction(1, 3)))
     assert out == (Fraction(4, 3), Fraction(1, 1))
     assert all(isinstance(x, Fraction) for x in out)
 
@@ -273,9 +258,8 @@ def test_integer_kernel_pinned():
 
 @given(int_matrices(4))
 def test_integer_kernel_annihilation_and_rank(rows):
-    a = IntMatrix.from_rows(rows)
     basis = kernel_columns(rows)
-    assert len(basis) == a.cols - sum(1 for d in minor_gcd_diagonal(rows) if d)
+    assert len(basis) == len(rows[0]) - sum(1 for d in minor_gcd_diagonal(rows) if d)
     for v in basis:
-        assert a.apply(v) == (0,) * a.rows
+        assert matmul(rows, [[x] for x in v]) == [[0]] * len(rows)
 

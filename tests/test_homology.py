@@ -113,7 +113,7 @@ def test_torsion_elements_group_law(params):
     for i, rep in enumerate(reps):
         assert T[i] == rep
         # every representative is a genuine torsion flat parameter
-        assert all(x.denominator == 1 for x in G.P.apply(tuple(rep)))
+        assert all(x.denominator == 1 for [x] in matmul(G.P, [[t] for t in rep]))
     assert_distinct_classes(G, T)
     rows = G.P.to_rows()
     for i in range(min(len(T), 8)):
@@ -177,7 +177,7 @@ def test_flat_bases(params):
     assert len(curv) == prof.b1
     zero = (0,) * G.genus
     for v in free:
-        assert tuple(G.P.apply(v)) == zero
+        assert matmul(G.P, [[x] for x in v]) == [[0]] * G.genus
     for m in curv:
         assert all(isinstance(c, int) for c in m)
         assert matmul([m], G.P.to_rows()) == [list(zero)]
@@ -214,7 +214,7 @@ def test_kernel_columns_are_a_saturated_basis_of_ker_P(corpus):
         assert len(columns) == profile.b1
         for c in columns:
             assert all(isinstance(x, int) for x in c)
-            assert G.P.apply(c) == (0,) * G.genus
+            assert matmul(G.P, [[x] for x in c]) == [[0]] * G.genus
         if columns:
             assert minor_gcd_diagonal(columns) == [1] * profile.b1
 

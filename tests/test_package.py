@@ -12,17 +12,16 @@ import pytest
 
 import heegaard
 from heegaard.cli import serialize_manifold
-from heegaard.exact import IntMatrix, PhaseQ, frac_mod1
+from heegaard.exact import PhaseQ, frac_mod1
 from heegaard.fields import FiniteDBClass, bf_action, db_pair, zero_mode_shift
 from heegaard.homology import TorsionRep
 from heegaard.linking import linking_form
 from heegaard.partition import PhaseSum, free_mode_grid_oracle, gauss_sum_oracle, z_cs
-from heegaard.splitting import lens
+from heegaard.splitting import connected_sum, lens
 
 
 def test_public_names():
     assert heegaard.__all__ == [
-        "IntMatrix",
         "PhaseQ",
         "frac_mod1",
         "vec_dot",
@@ -114,7 +113,6 @@ def test_no_public_method_is_test_only():
 # the operator dunders the exported classes define, each with a caller outside
 # tests; an operator only tests call does not belong in the library
 OPERATORS = [
-    "IntMatrix.__getitem__",  # cli._oracle reads the 1x1 blocks of a lens space
     "PhaseQ.__add__",  # demos/02_linking_form.py adds two values of the form
     "PhaseSum.__len__",  # partition: z_cs's bin budget and _jordan_histogram's product check
     "PhaseSum.__mul__",  # partition._jordan_histogram multiplies the blocks' histograms
@@ -176,12 +174,9 @@ def test_console_script_runs_the_cli(monkeypatch, capsys):
 
 
 S1xS2 = lens(0, 1)
-BLOCK = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
 # each entry point with one integer argument replaced by x, and an int it takes
 INTEGER_ARGUMENTS = {
-    "IntMatrix-rows": (lambda x: BLOCK.row(x), 1),
-    "IntMatrix-cols": (lambda x: BLOCK.col(x), 2),
     "lens-p": (lambda x: lens(x, 2), 5),
     "lens-q": (lambda x: lens(5, x), 2),
     "gauss_sum_oracle-p": (lambda x: gauss_sum_oracle(x, 2, 1), 5),
@@ -202,6 +197,38 @@ def test_integer_arguments_refuse_non_integers(site, bad):
         call(bad)
     call(good)
     assert call(True) == call(1)
+
+
+GENUS2 = connected_sum(lens(5, 2), lens(0, 1))
+LENGTH_MESSAGE = "sector constraint violation: sectors must have length 2"
+
+# each entry point with one vector argument replaced by v, and the message
+# that refuses a v of length n != 2 before anything multiplies it
+VECTOR_ARGUMENTS = {
+    "linking_form-theta": (
+        lambda v: linking_form(GENUS2, v, [0, 0]), "theta has length {n}, expected 2"
+    ),
+    "linking_form-vartheta": (
+        lambda v: linking_form(GENUS2, [0, 0], v), "vartheta has length {n}, expected 2"
+    ),
+    "FiniteDBClass-m": (lambda v: FiniteDBClass(GENUS2, m=v), LENGTH_MESSAGE),
+    "FiniteDBClass-theta_f": (lambda v: FiniteDBClass(GENUS2, theta_f=v), LENGTH_MESSAGE),
+    "FiniteDBClass-theta_t": (lambda v: FiniteDBClass(GENUS2, theta_t=v), LENGTH_MESSAGE),
+    "FiniteDBClass-holonomy": (lambda v: FiniteDBClass(GENUS2, holonomy=v), LENGTH_MESSAGE),
+    "zero_mode_shift-u": (
+        lambda v: zero_mode_shift(GENUS2, FiniteDBClass(GENUS2), v, 1), "u has length {n}, expected 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["short", "long"])
+@pytest.mark.parametrize("site", VECTOR_ARGUMENTS)
+def test_vector_arguments_refuse_a_wrong_length(site, n):
+    call, message = VECTOR_ARGUMENTS[site]
+    with pytest.raises(ValueError) as exc:
+        call([0] * n)
+    assert str(exc.value) == message.format(n=n)
+    call([0, 0])
 
 
 EMPTY_CLASS = FiniteDBClass(S1xS2)

@@ -65,9 +65,10 @@ def test_dimension_mismatch_rejected():
         validate([[0, 0], [0, 0]], [[1]], [[1]], [[0]])
 
 
-@pytest.mark.parametrize("bad", [2.4, Fraction(7, 2), Decimal("2.5")])
+@pytest.mark.parametrize("bad", [2.4, Fraction(7, 2), Decimal("2.5"), 2.0, Fraction(4, 1)])
 def test_non_integer_blocks_rejected(bad):
-    # truncating 2.4, 5.9, 1.3, 2.99 would give the valid blocks of L(5, 2)
+    # truncating 2.4, 5.9, 1.3, 2.99 would give the valid blocks of L(5, 2);
+    # an integral value such as 2.0 or Fraction(4, 1) is refused all the same
     assert validate([[2]], [[5]], [[1]], [[2]]) == lens(5, 2)
     with pytest.raises(ValidationError, match="block R is not an integer matrix"):
         validate([[bad]], [[5.9]], [[1.3]], [[2.99]])
@@ -279,7 +280,7 @@ def test_lens_pinned_completions():
     }
     for (p, q), (r, pp, s, qq) in cases.items():
         G = lens(p, q)
-        assert (G.R[0, 0], G.P[0, 0], G.S[0, 0], G.Q[0, 0]) == (r, pp, s, qq)
+        assert (G.R[0][0], G.P[0][0], G.S[0][0], G.Q[0][0]) == (r, pp, s, qq)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
@@ -291,7 +292,7 @@ def test_lens_completion_law(p, q):
             lens(p, q)
         return
     G = lens(p, q)
-    r, pp, s, qq = G.R[0, 0], G.P[0, 0], G.S[0, 0], G.Q[0, 0]
+    r, pp, s, qq = G.R[0][0], G.P[0][0], G.S[0][0], G.Q[0][0]
     assert pp == abs(p)
     assert qq == (q if p >= 0 else -q) or p == 0
     assert pp * s - qq * r == 1
@@ -335,7 +336,7 @@ def test_connected_sum_blocks():
     assert G.P.to_rows() == ((2, 0), (0, 3))
     # off-diagonal blocks are zero in every block
     for blk in (G.R, G.P, G.S, G.Q):
-        assert blk[0, 1] == 0 and blk[1, 0] == 0
+        assert blk[0][1] == 0 and blk[1][0] == 0
 
 
 @given(splitting_params, splitting_params)
